@@ -227,6 +227,12 @@ impl Wire for BatchEntry {
 /// digests, in batch order.
 pub fn batch_digest(entries: &[BatchEntry]) -> Digest {
     let digests: Vec<Digest> = entries.iter().map(BatchEntry::digest).collect();
+    batch_digest_of(&digests)
+}
+
+/// [`batch_digest`] from request digests already computed, in batch
+/// order.
+pub fn batch_digest_of(digests: &[Digest]) -> Digest {
     let parts: Vec<&[u8]> = std::iter::once(b"BATCH".as_slice())
         .chain(digests.iter().map(|d| d.as_bytes().as_slice()))
         .collect();
@@ -1464,6 +1470,9 @@ mod tests {
 
     fn roundtrip(msg: Msg) {
         let bytes = msg.to_bytes();
+        // Receive-side digest charges are sized from wire_len() without
+        // encoding, so it must agree with the encoding byte for byte.
+        assert_eq!(msg.wire_len(), bytes.len(), "wire_len of {}", msg.kind());
         assert_eq!(bytes[0], msg.tag(), "tag() must match the wire tag");
         assert_ne!(bft_sim::health::tag_name(msg.tag()), "?", "tag unnamed");
         assert_eq!(Msg::from_bytes(&bytes).expect("decode"), msg);
@@ -1632,6 +1641,33 @@ mod tests {
             replica: 1,
             retry_after_ns: 5_000_000,
         }));
+    }
+
+    #[test]
+    fn request_wire_len_matches_encoding_for_every_auth_and_size() {
+        let mut kc = bft_crypto::KeyChain::new(0, 4);
+        let vector = AuthTag::Vector(kc.authenticate(b"request digest"));
+        let mac = sample_request().auth;
+        for auth in [AuthTag::None, mac, vector] {
+            for op_len in [0, 4096] {
+                let req = Request {
+                    op: vec![0x5a; op_len],
+                    auth: auth.clone(),
+                    ..sample_request()
+                };
+                roundtrip(Msg::Request(req.clone()));
+                roundtrip(Msg::PrePrepare(PrePrepare {
+                    view: 0,
+                    seq: 1,
+                    entries: vec![BatchEntry::Full(req.clone())],
+                    batch_digest: req.digest(),
+                    piggy_commits: vec![],
+                }));
+                roundtrip(Msg::RequestData(RequestData {
+                    requests: vec![req],
+                }));
+            }
+        }
     }
 
     #[test]

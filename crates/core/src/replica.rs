@@ -224,8 +224,9 @@ pub struct Replica<S: Service> {
     /// Primary: requests waiting for a batch slot, kept per client so
     /// draining can round-robin across senders — one flooding client
     /// fills only its own lane and cannot starve the others. Keys with
-    /// empty lanes are removed eagerly.
-    pending_batch: BTreeMap<ClientId, VecDeque<Request>>,
+    /// empty lanes are removed eagerly. Each request travels with the
+    /// digest this replica computed when it verified the request.
+    pending_batch: BTreeMap<ClientId, VecDeque<(Digest, Request)>>,
     /// Total requests across all `pending_batch` lanes.
     pending_batch_len: usize,
     /// Round-robin drain position: the last client a request was taken
@@ -540,9 +541,9 @@ impl<S: Service> Replica<S> {
     }
 
     /// Remembers a request body for batch resolution and recovery
-    /// serving, with bounded memory.
-    fn store_request(&mut self, req: Request) {
-        let d = req.digest();
+    /// serving, with bounded memory. `d` is the digest this replica
+    /// computed from `req` when it verified it.
+    fn store_request(&mut self, d: Digest, req: Request) {
         if self.request_store.insert(d, req).is_none() {
             self.store_order.push_back(d);
             while self.store_order.len() > STORE_CAP {
@@ -618,32 +619,45 @@ impl<S: Service> Replica<S> {
         from: NodeId,
         packet: &Packet,
     ) -> bool {
-        let body_bytes = packet.body.to_bytes();
         let cost = &self.cfg.cost;
-        ctx.charge_kind(CostKind::Digest, cost.digest(body_bytes.len()));
-        let d = bft_crypto::digest(&body_bytes);
+        ctx.charge_kind(CostKind::Digest, cost.digest(packet.body.wire_len()));
         match &packet.auth {
             AuthTag::None => {
-                // Only requests authenticate themselves.
+                // Only requests authenticate themselves. With no packet
+                // MAC to check, the body is not hashed at all.
                 matches!(packet.body, Msg::Request(_))
             }
             AuthTag::Mac(m) => {
                 ctx.charge_kind(CostKind::Mac, cost.mac(16));
+                let d = packet.body_digest();
                 self.keychain.verify_from(from, d.as_bytes(), m)
             }
             AuthTag::Vector(a) => {
                 ctx.charge_kind(CostKind::Mac, cost.mac(16));
+                let d = packet.body_digest();
                 self.keychain.verify_authenticator(from, d.as_bytes(), a)
             }
         }
     }
 
-    /// Verifies a request's embedded authenticator.
-    fn verify_request(&mut self, ctx: &mut Context<'_, Packet>, req: &Request) -> bool {
+    /// Hashes a request and verifies its embedded authenticator,
+    /// returning the digest if the request is authentic.
+    fn verify_request(&mut self, ctx: &mut Context<'_, Packet>, req: &Request) -> Option<Digest> {
+        let d = req.digest();
+        self.verify_request_digest(ctx, req, &d).then_some(d)
+    }
+
+    /// Verifies a request's embedded authenticator over `d`, which this
+    /// replica computed from `req` itself (never taken from a sender).
+    fn verify_request_digest(
+        &mut self,
+        ctx: &mut Context<'_, Packet>,
+        req: &Request,
+        d: &Digest,
+    ) -> bool {
         let cost = &self.cfg.cost;
         ctx.charge_kind(CostKind::Digest, cost.digest(req.op.len() + 21));
         ctx.charge_kind(CostKind::Mac, cost.mac(16));
-        let d = req.digest();
         match &req.auth {
             AuthTag::Vector(a) => self
                 .keychain
@@ -806,11 +820,11 @@ impl<S: Service> Replica<S> {
 
     /// Appends a request to its client's backlog lane and tracks the
     /// high-watermark. The caller is responsible for `queued` dedup.
-    fn enqueue_pending(&mut self, req: Request) {
+    fn enqueue_pending(&mut self, d: Digest, req: Request) {
         self.pending_batch
             .entry(req.client)
             .or_default()
-            .push_back(req);
+            .push_back((d, req));
         self.pending_batch_len += 1;
         self.note_backlog_hw();
     }
@@ -828,20 +842,21 @@ impl<S: Service> Replica<S> {
         self.rr_next_client()
             .and_then(|c| self.pending_batch.get(&c))
             .and_then(|lane| lane.front())
+            .map(|(_, req)| req)
     }
 
     /// Removes and returns the request [`Self::rr_peek`] would see,
     /// advancing the cursor past its client.
-    fn rr_pop(&mut self) -> Option<Request> {
+    fn rr_pop(&mut self) -> Option<(Digest, Request)> {
         let client = self.rr_next_client()?;
         let lane = self.pending_batch.get_mut(&client)?;
-        let req = lane.pop_front()?;
+        let entry = lane.pop_front()?;
         if lane.is_empty() {
             self.pending_batch.remove(&client);
         }
         self.rr_cursor = client;
         self.pending_batch_len -= 1;
-        Some(req)
+        Some(entry)
     }
 
     fn rr_next_client(&self) -> Option<ClientId> {
@@ -965,10 +980,10 @@ impl<S: Service> Replica<S> {
             self.shed_request(ctx, req.client, req.timestamp);
             return;
         }
-        if !self.verify_request(ctx, &req) {
+        let Some(d) = self.verify_request(ctx, &req) else {
             ctx.metrics().incr("replica.bad_request_auth");
             return;
-        }
+        };
         ctx.trace(
             SpanEdge::Instant,
             TracePhase::RequestRecv,
@@ -1061,10 +1076,10 @@ impl<S: Service> Replica<S> {
             }
             self.note_admitted(req.client, req.timestamp, now);
         }
-        self.store_request(req.clone());
+        self.store_request(d, req.clone());
         if self.is_primary() && !self.in_view_change {
             if self.queued.insert(identity) {
-                self.enqueue_pending(req);
+                self.enqueue_pending(d, req);
                 self.try_propose(ctx);
             }
         } else {
@@ -1524,6 +1539,7 @@ impl<S: Service> Replica<S> {
             // bodies with digest references, which is exactly why it
             // "enables more requests per batch" (Section 4.4).
             let mut batch: Vec<Request> = Vec::new();
+            let mut digests: Vec<Digest> = Vec::new();
             let mut bytes = 0usize;
             while let Some(front) = self.rr_peek() {
                 let separate = self.cfg.opts.separate_request_transmission
@@ -1536,7 +1552,7 @@ impl<S: Service> Replica<S> {
                 {
                     break;
                 }
-                let req = self.rr_pop().expect("peeked request exists");
+                let (d, req) = self.rr_pop().expect("peeked request exists");
                 let stale = self
                     .reply_cache
                     .get(&req.client)
@@ -1545,6 +1561,7 @@ impl<S: Service> Replica<S> {
                     continue;
                 }
                 bytes += sz;
+                digests.push(d);
                 batch.push(req);
             }
             if batch.is_empty() {
@@ -1554,21 +1571,22 @@ impl<S: Service> Replica<S> {
             let seq = self.next_seq;
             let entries: Vec<BatchEntry> = batch
                 .iter()
-                .map(|req| {
+                .zip(&digests)
+                .map(|(req, d)| {
                     if self.cfg.opts.separate_request_transmission
                         && req.op.len() > self.cfg.inline_threshold
                     {
                         BatchEntry::Ref {
                             client: req.client,
                             timestamp: req.timestamp,
-                            digest: req.digest(),
+                            digest: *d,
                         }
                     } else {
                         BatchEntry::Full(req.clone())
                     }
                 })
                 .collect();
-            let d = batch_digest(&entries);
+            let d = batch_digest_of(&digests);
             ctx.charge_kind(CostKind::Digest, self.cfg.cost.digest(entries.len() * 16));
             {
                 let view = self.view;
@@ -1658,7 +1676,10 @@ impl<S: Service> Replica<S> {
             }
         }
         // Validate the batch digest and inline request authenticators.
-        if batch_digest(&pp.entries) != pp.batch_digest {
+        // Each inline request is hashed once, here, and that digest
+        // serves the batch check, the authenticator check and the store.
+        let digests: Vec<Digest> = pp.entries.iter().map(BatchEntry::digest).collect();
+        if batch_digest_of(&digests) != pp.batch_digest {
             ctx.metrics().incr("replica.bad_batch_digest");
             return;
         }
@@ -1668,14 +1689,14 @@ impl<S: Service> Replica<S> {
         );
         let mut resolved: Vec<Request> = Vec::with_capacity(pp.entries.len());
         let mut missing = false;
-        for entry in &pp.entries {
+        for (entry, d) in pp.entries.iter().zip(digests) {
             match entry {
                 BatchEntry::Full(req) => {
-                    if !self.verify_request(ctx, req) {
+                    if !self.verify_request_digest(ctx, req, &d) {
                         ctx.metrics().incr("replica.bad_request_auth");
                         return;
                     }
-                    self.store_request(req.clone());
+                    self.store_request(d, req.clone());
                     resolved.push(req.clone());
                 }
                 BatchEntry::Ref { digest, .. } => match self.request_store.get(digest) {
@@ -2688,31 +2709,26 @@ impl<S: Service> Replica<S> {
         if !self.log.in_window(cb.seq) || cb.seq <= self.last_executed {
             return;
         }
-        if batch_digest(&cb.entries) != cb.batch_digest {
+        let digests: Vec<Digest> = cb.entries.iter().map(BatchEntry::digest).collect();
+        if batch_digest_of(&digests) != cb.batch_digest {
             return;
         }
         let votes = self.backfill.entry((cb.seq, cb.batch_digest)).or_default();
         votes.insert(from);
-        if votes.len() < self.cfg.quorums.witness_quorum() {
-            // Stash the bodies either way; they are digest-bound.
-            for entry in &cb.entries {
-                if let BatchEntry::Full(req) = entry {
-                    if self.verify_request(ctx, req) {
-                        self.store_request(req.clone());
-                    }
+        let committed = votes.len() >= self.cfg.quorums.witness_quorum();
+        // Stash the bodies either way; they are digest-bound.
+        for (entry, d) in cb.entries.iter().zip(digests) {
+            if let BatchEntry::Full(req) = entry {
+                if self.verify_request_digest(ctx, req, &d) {
+                    self.store_request(d, req.clone());
                 }
             }
+        }
+        if !committed {
             return;
         }
         // f+1 distinct peers assert commitment: at least one is correct.
         ctx.metrics().incr("replica.backfilled_batches");
-        for entry in &cb.entries {
-            if let BatchEntry::Full(req) = entry {
-                if self.verify_request(ctx, req) {
-                    self.store_request(req.clone());
-                }
-            }
-        }
         {
             let view = self.view;
             let slot = self.log.slot_mut(cb.seq);
@@ -2805,10 +2821,10 @@ impl<S: Service> Replica<S> {
     fn handle_request_data(&mut self, ctx: &mut Context<'_, Packet>, rd: RequestData) {
         let mut any = false;
         for req in rd.requests {
-            if !self.verify_request(ctx, &req) {
+            let Some(d) = self.verify_request(ctx, &req) else {
                 continue;
-            }
-            self.store_request(req);
+            };
+            self.store_request(d, req);
             any = true;
         }
         if any {
@@ -2851,18 +2867,18 @@ impl<S: Service> Replica<S> {
         }
         let want = slot.digest.expect("checked");
         // The fetched bodies must hash to the digest we prepared against.
-        let entries_digest = batch_digest(&bd.entries);
-        if entries_digest != want {
+        let digests: Vec<Digest> = bd.entries.iter().map(BatchEntry::digest).collect();
+        if batch_digest_of(&digests) != want {
             return;
         }
         let mut resolved = Vec::with_capacity(bd.entries.len());
-        for entry in &bd.entries {
+        for (entry, d) in bd.entries.iter().zip(digests) {
             match entry {
                 BatchEntry::Full(req) => {
-                    if !self.verify_request(ctx, req) {
+                    if !self.verify_request_digest(ctx, req, &d) {
                         return;
                     }
-                    self.store_request(req.clone());
+                    self.store_request(d, req.clone());
                     resolved.push(req.clone());
                 }
                 BatchEntry::Ref { .. } => return, // fetch answers must inline
@@ -3270,19 +3286,19 @@ impl<S: Service> Replica<S> {
             }
         } else {
             // Unexecuted pending requests may need re-proposing.
-            let pending: Vec<Request> = self
+            let pending: Vec<(Digest, Request)> = self
                 .pending_requests
                 .iter()
                 .filter_map(|(c, ts)| {
                     self.request_store
-                        .values()
-                        .find(|r| r.client == *c && r.timestamp == *ts)
-                        .cloned()
+                        .iter()
+                        .find(|(_, r)| r.client == *c && r.timestamp == *ts)
+                        .map(|(d, r)| (*d, r.clone()))
                 })
                 .collect();
-            for req in pending {
+            for (d, req) in pending {
                 if self.queued.insert((req.client, req.timestamp)) {
-                    self.enqueue_pending(req);
+                    self.enqueue_pending(d, req);
                 }
             }
         }
