@@ -16,6 +16,7 @@ use bft_core::wire::Wire;
 use bft_fs::disk::ServerMode;
 use bft_fs::ops::{NfsOp, ROOT_FH};
 use bft_fs::service::FsService;
+use bft_sim::Counter;
 
 /// A pre-populated BFS service with `files` empty files under the root.
 /// Applied outside the protocol so every replica starts from the same
@@ -81,11 +82,8 @@ fn checkpoint_ns(files: u32, incremental: bool) -> f64 {
     let mut cluster = Cluster::new(31, NetConfig::SWITCHED_100MBPS, cfg, |_| template.clone());
     cluster.add_client(WriteDriver::new(96));
     cluster.run_for(dur::secs(60));
-    let made = cluster.sim.metrics().counter("replica.checkpoints_made");
-    let spent = cluster
-        .sim
-        .metrics()
-        .counter("replica.checkpoint_digest_ns");
+    let made = cluster.sim.health().total(Counter::CheckpointsMade);
+    let spent = cluster.sim.health().total(Counter::CheckpointDigestNs);
     assert!(made > 0, "no checkpoints happened");
     spent as f64 / made as f64
 }

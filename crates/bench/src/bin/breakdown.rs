@@ -116,9 +116,9 @@ fn run_workload(spec: &WorkloadSpec, samples: u64, fast_path: bool) -> RunOutput
     cluster.add_client(MicroDriver::new(spec.arg_bytes, spec.result_bytes, false));
 
     // Warm up one event at a time so we stop exactly at WARMUP_OPS
-    // completions, then discard warmup metrics and trace events.
+    // completions, then discard warmup latencies and trace events.
     while cluster.completed_ops() < WARMUP_OPS && cluster.sim.step() {}
-    cluster.sim.metrics_mut().reset();
+    cluster.sim.clear_latency();
     cluster.sim.trace_mut().clear();
     // Reset the health counters with the trace so the two observers
     // cover exactly the same window and can be cross-checked.
@@ -139,7 +139,7 @@ fn run_workload(spec: &WorkloadSpec, samples: u64, fast_path: bool) -> RunOutput
     let sink = cluster.sim.trace();
     let paths = assemble(sink);
     let b: Breakdown = breakdown(&paths);
-    let measured_ns = cluster.sim.metrics().summary("client.latency").mean;
+    let measured_ns = cluster.sim.latency().mean();
     let assembled_ns = b.e2e_mean_ns();
     let error_pct = if measured_ns > 0.0 {
         (assembled_ns - measured_ns).abs() / measured_ns * 100.0
@@ -344,12 +344,7 @@ fn run_lease_workload(samples: u64) -> (String, u64, u64) {
         cluster.completed_ops()
     );
     let lease_reads = cluster.sim.health().total(Counter::LeaseReads);
-    assert_eq!(
-        lease_reads,
-        cluster.sim.metrics().counter("replica.lease_reads"),
-        "health counter and metrics counter disagree on lease reads"
-    );
-    let fallbacks = cluster.sim.metrics().counter("client.ro_fallbacks");
+    let fallbacks = cluster.sim.health().total(Counter::RoFallbacks);
     (
         cluster.sim.trace().chrome_trace_json(),
         lease_reads,

@@ -1,5 +1,7 @@
-//! Diagnostic probe for a single throughput configuration: dumps all
-//! metrics counters to find where a workload's capacity goes.
+//! Diagnostic probe for a single throughput configuration: dumps the
+//! health counter registry to find where a workload's capacity goes.
+
+use std::collections::BTreeMap;
 
 use bft_core::cluster::Cluster;
 use bft_core::config::Config;
@@ -20,22 +22,24 @@ fn main() {
     }
     cluster.run_for(dur::secs(2));
     println!("--- after warmup (2s) ---");
-    for (k, v) in cluster.sim.metrics().counters_sorted() {
+    let warmup: BTreeMap<String, u64> = cluster.sim.health().flattened().into_iter().collect();
+    for (k, v) in &warmup {
         println!("{k:>40} {v}");
     }
     for r in 0..4 {
         println!("replica {r}: {:?}", cluster.replica::<SimpleService>(r));
     }
-    cluster.sim.metrics_mut().reset();
+    cluster.sim.clear_latency();
+    let ops0 = cluster.completed_ops();
     cluster.run_for(dur::secs(2));
     println!("--- measurement window (2s) ---");
-    for (k, v) in cluster.sim.metrics().counters_sorted() {
-        println!("{k:>40} {v}");
+    for (k, v) in cluster.sim.health().flattened() {
+        println!("{k:>40} {}", v - warmup.get(&k).copied().unwrap_or(0));
     }
-    let lat = cluster.sim.metrics().summary("client.latency");
+    let lat = cluster.sim.latency().summary();
     println!(
         "ops/s = {:.0}, latency mean {:.1}ms p99 {:.1}ms",
-        cluster.sim.metrics().counter("client.ops_completed") as f64 / 2.0,
+        (cluster.completed_ops() - ops0) as f64 / 2.0,
         lat.mean / 1e6,
         lat.p99 as f64 / 1e6
     );

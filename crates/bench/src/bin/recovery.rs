@@ -11,7 +11,7 @@
 
 use bft_bench::{figure_header, observe, ops, ratio, secs, table_header, table_row};
 use bft_core::prelude::*;
-use bft_sim::dur;
+use bft_sim::{dur, Counter};
 
 /// Closed-loop writer issuing `add 1` ops padded to a target size (the
 /// counter ignores bytes past the operand, so padding only exercises the
@@ -72,9 +72,9 @@ fn main() {
         }
         // Warm up, then take the undisturbed baseline.
         cluster.run_for(dur::secs(1));
-        cluster.sim.metrics_mut().reset();
+        let ops0 = cluster.completed_ops();
         cluster.run_for(dur::secs(1));
-        let steady = cluster.sim.metrics().counter("client.ops_completed") as f64;
+        let steady = (cluster.completed_ops() - ops0) as f64;
 
         // Land the corruption mid-interval: the victim's watchdog fires
         // at 375 ms + k*500 ms, so injecting at 2.6 s leaves its ongoing
@@ -102,7 +102,8 @@ fn main() {
         // audit's re-fetch path), then step until the next watchdog
         // fire audits and heals it.
         cluster.replica_mut::<CounterService>(2).corrupt_state(63);
-        cluster.sim.metrics_mut().reset();
+        let ops0 = cluster.completed_ops();
+        let refetches0 = cluster.sim.health().total(Counter::RecoveryAuditRefetch);
         let step = dur::millis(5);
         let mut waited = 0u64;
         while !healed(&cluster, 2) && waited < dur::secs(30) {
@@ -110,17 +111,13 @@ fn main() {
             waited += step;
         }
         let heal_secs = waited as f64 / 1e9;
-        let during = cluster.sim.metrics().counter("client.ops_completed") as f64 / heal_secs;
+        let during = (cluster.completed_ops() - ops0) as f64 / heal_secs;
         assert!(
             healed(&cluster, 2),
             "cluster failed to heal within 30 s at payload {pad}"
         );
         assert!(
-            cluster
-                .sim
-                .metrics()
-                .counter("replica.recovery_audit_refetch")
-                > 0,
+            cluster.sim.health().total(Counter::RecoveryAuditRefetch) > refetches0,
             "the heal must have come through the recovery audit"
         );
         table_row(&[

@@ -39,6 +39,7 @@ use std::collections::BTreeMap;
 use bft_bench::suite::{compare, BenchDoc, BenchResult};
 use bft_core::prelude::*;
 use bft_sim::trace::{assemble, breakdown as trace_breakdown};
+use bft_sim::{Counter, Histogram};
 use bft_workloads::harness::{bft_latency, OpShape, SEED};
 use bft_workloads::micro::{simple_op, MicroDriver, SimpleService};
 use bft_workloads::read_mix_run;
@@ -96,11 +97,12 @@ fn saturation(quick: bool, out: &mut BenchDoc) {
         );
     }
     cluster.run_for(warmup);
-    cluster.sim.metrics_mut().reset();
+    cluster.sim.clear_latency();
+    let ops0 = cluster.completed_ops();
     cluster.run_for(window);
-    let ops = cluster.sim.metrics().counter("client.ops_completed");
+    let ops = cluster.completed_ops() - ops0;
     let window_s = window as f64 / 1e9;
-    let lat = cluster.sim.metrics().summary("client.latency");
+    let lat = cluster.sim.latency().summary();
     out.results.push(BenchResult {
         bench: "saturation".to_string(),
         workload: format!("{CLIENTS}-clients"),
@@ -141,9 +143,9 @@ fn breakdown(quick: bool, out: &mut BenchDoc) {
         } else {
             0.0
         };
-        let mean_us = cluster.sim.metrics().summary("client.latency").mean / 1e3;
-        let fast_commits = cluster.sim.health().total(bft_sim::Counter::FastCommits);
-        let fallbacks = cluster.sim.health().total(bft_sim::Counter::FastFallbacks);
+        let mean_us = cluster.sim.latency().mean() / 1e3;
+        let fast_commits = cluster.sim.health().total(Counter::FastCommits);
+        let fallbacks = cluster.sim.health().total(Counter::FastFallbacks);
         out.results.push(BenchResult {
             bench: "breakdown".to_string(),
             workload: if fast_path {
@@ -228,10 +230,9 @@ fn recovery(quick: bool, out: &mut BenchDoc) {
         dur::secs(1)
     };
     cluster.run_for(dur::secs(1));
-    cluster.sim.metrics_mut().reset();
+    let ops0 = cluster.completed_ops();
     cluster.run_for(baseline);
-    let steady =
-        cluster.sim.metrics().counter("client.ops_completed") as f64 / (baseline as f64 / 1e9);
+    let steady = (cluster.completed_ops() - ops0) as f64 / (baseline as f64 / 1e9);
     // Land the corruption mid-watchdog-interval, with the victim idle
     // and caught up (see the `recovery` binary for the full rationale).
     cluster.run_for(dur::millis(600));
@@ -244,7 +245,7 @@ fn recovery(quick: bool, out: &mut BenchDoc) {
         cluster.run_for(dur::millis(5));
     }
     cluster.replica_mut::<CounterService>(2).corrupt_state(63);
-    cluster.sim.metrics_mut().reset();
+    let ops0 = cluster.completed_ops();
     let step = dur::millis(5);
     let mut waited = 0u64;
     while !healed(&cluster) && waited < dur::secs(30) {
@@ -253,7 +254,7 @@ fn recovery(quick: bool, out: &mut BenchDoc) {
     }
     assert!(healed(&cluster), "cluster failed to heal within 30 s");
     let heal_s = waited as f64 / 1e9;
-    let during = cluster.sim.metrics().counter("client.ops_completed") as f64 / heal_s;
+    let during = (cluster.completed_ops() - ops0) as f64 / heal_s;
     out.results.push(BenchResult {
         bench: "recovery".to_string(),
         workload: "corrupt-top-bit".to_string(),
@@ -266,17 +267,20 @@ fn recovery(quick: bool, out: &mut BenchDoc) {
     merge_counters(&mut out.counters, cluster.sim.health().flattened());
 }
 
-/// Closed-loop 0/0 client that records its latency under a private
-/// metric, so the overload family's honest-client numbers are not
-/// polluted by the flooder's completions in `client.latency`.
-struct HonestMicro;
+/// Closed-loop 0/0 client that records its latency in its own
+/// histogram, so the overload family's honest-client numbers are not
+/// polluted by the flooder's completions in the cluster-wide one.
+#[derive(Default)]
+struct HonestMicro {
+    latency: Histogram,
+}
 
 impl ClientDriver for HonestMicro {
     fn on_start(&mut self, api: &mut ClientApi<'_, '_>) {
         api.submit(simple_op(0, 0, false), false);
     }
     fn on_complete(&mut self, api: &mut ClientApi<'_, '_>, _result: &[u8], latency_ns: u64) {
-        api.metrics().record("bench.honest_latency", latency_ns);
+        self.latency.record(latency_ns);
         api.submit(simple_op(0, 0, false), false);
     }
 }
@@ -320,9 +324,9 @@ fn overload(quick: bool, out: &mut BenchDoc) {
             cfg.clone(),
             |_| SimpleService,
         );
-        for _ in 0..4 {
-            cluster.add_client(HonestMicro);
-        }
+        let honest: Vec<ClientId> = (0..4)
+            .map(|_| cluster.add_client(HonestMicro::default()))
+            .collect();
         match flooder {
             Flooder::None => {}
             Flooder::Polite(interval) => {
@@ -338,12 +342,18 @@ fn overload(quick: bool, out: &mut BenchDoc) {
             }
         }
         cluster.run_for(warmup);
-        cluster.sim.metrics_mut().reset();
+        for &id in &honest {
+            cluster.client_mut::<HonestMicro>(id).driver_mut().latency = Histogram::new();
+        }
         cluster.run_for(window);
         let window_s = window as f64 / 1e9;
-        let honest = cluster.sim.metrics().summary("bench.honest_latency");
-        let shed = cluster.sim.health().total(bft_sim::Counter::RequestsShed);
-        let busy = cluster.sim.health().total(bft_sim::Counter::BusySent);
+        let mut latency = Histogram::new();
+        for &id in &honest {
+            latency.merge(&cluster.client::<HonestMicro>(id).driver().latency);
+        }
+        let honest = latency.summary();
+        let shed = cluster.sim.health().total(Counter::RequestsShed);
+        let busy = cluster.sim.health().total(Counter::BusySent);
         merge_counters(&mut out.counters, cluster.sim.health().flattened());
         (
             honest.count as f64 / window_s,

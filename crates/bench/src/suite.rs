@@ -63,7 +63,8 @@ pub struct BenchDoc {
     /// Cluster-wide health counters aggregated over the suite's own
     /// clusters (message sends/receives by tag, protocol events) — the
     /// observability cross-check that the runs exercised the paths
-    /// their metrics claim to measure.
+    /// their metrics claim to measure. [`compare`] fails when a baseline
+    /// key disappears and reports changed totals without gating them.
     pub counters: BTreeMap<String, u64>,
 }
 
@@ -123,12 +124,16 @@ pub struct CompareReport {
     pub threshold_pct: f64,
     /// Every metric present in both documents.
     pub rows: Vec<CompareRow>,
-    /// `bench/workload/metric` keys present in the baseline but absent
-    /// from the new document. A vanished measurement fails the gate —
-    /// losing coverage must be deliberate (regenerate the baseline).
+    /// `bench/workload/metric` and `counters/name` keys present in the
+    /// baseline but absent from the new document. A vanished measurement
+    /// or counter fails the gate — losing coverage (or renaming a
+    /// counter) must be deliberate (regenerate the baseline).
     pub missing: Vec<String>,
     /// Keys present only in the new document (informational).
     pub added: Vec<String>,
+    /// Counters present in both documents whose totals differ, as
+    /// `(name, old, new)`. Informational: counters have no direction.
+    pub counter_changes: Vec<(String, u64, u64)>,
 }
 
 impl CompareReport {
@@ -170,6 +175,9 @@ impl CompareReport {
         for a in &self.added {
             out.push_str(&format!("added (not in baseline): {a}\n"));
         }
+        for (name, old, new) in &self.counter_changes {
+            out.push_str(&format!("counter changed: {name} {old} -> {new}\n"));
+        }
         out.push_str(&format!(
             "{} metrics compared, {} regression(s) past {:.0}% threshold\n",
             self.rows.len(),
@@ -182,7 +190,9 @@ impl CompareReport {
 
 /// Diffs `new` against the `old` baseline: every metric present in both
 /// gets a row; bad-direction deltas past `threshold_pct` are flagged as
-/// regressions (direction per [`higher_is_better`]).
+/// regressions (direction per [`higher_is_better`]). Counters are
+/// checked for presence only: a baseline counter missing from `new` is
+/// `missing`, a changed total is listed in `counter_changes`.
 ///
 /// # Errors
 ///
@@ -253,11 +263,25 @@ pub fn compare(
             }
         }
     }
+    let mut counter_changes = Vec::new();
+    for (name, &ov) in &old.counters {
+        match new.counters.get(name) {
+            None => missing.push(format!("counters/{name}")),
+            Some(&nv) if nv != ov => counter_changes.push((name.clone(), ov, nv)),
+            Some(_) => {}
+        }
+    }
+    for name in new.counters.keys() {
+        if !old.counters.contains_key(name) {
+            added.push(format!("counters/{name}"));
+        }
+    }
     Ok(CompareReport {
         threshold_pct,
         rows,
         missing,
         added,
+        counter_changes,
     })
 }
 
@@ -362,6 +386,40 @@ mod tests {
         let rep = compare(&old, &new, 25.0).unwrap();
         assert!(!rep.ok());
         assert_eq!(rep.missing.len(), 2);
+    }
+
+    #[test]
+    fn vanished_counter_fails_the_gate() {
+        let old = doc();
+        let mut new = doc();
+        new.counters.remove("sent.request");
+        new.counters.insert("sent.requests".to_string(), 42);
+        let rep = compare(&old, &new, 25.0).unwrap();
+        assert!(!rep.ok());
+        assert_eq!(rep.missing, vec!["counters/sent.request".to_string()]);
+        assert_eq!(rep.added, vec!["counters/sent.requests".to_string()]);
+        assert!(rep
+            .render()
+            .contains("MISSING from new document: counters/sent.request"));
+    }
+
+    #[test]
+    fn changed_counter_is_reported_but_passes() {
+        let old = doc();
+        let mut new = doc();
+        new.counters.insert("sent.request".to_string(), 50);
+        let rep = compare(&old, &new, 25.0).unwrap();
+        assert!(rep.ok());
+        assert_eq!(
+            rep.counter_changes,
+            vec![("sent.request".to_string(), 42, 50)]
+        );
+        assert!(rep
+            .render()
+            .contains("counter changed: sent.request 42 -> 50"));
+        // An unchanged counter is neither missing nor changed.
+        let same = compare(&old, &old, 25.0).unwrap();
+        assert!(same.counter_changes.is_empty() && same.missing.is_empty());
     }
 
     #[test]

@@ -124,7 +124,8 @@ pub struct ClientCore {
     /// Exponentially weighted moving average of observed latency, driving
     /// the adaptive retransmission timeout (ns).
     latency_ewma: f64,
-    /// Completed operation count (also mirrored into the metrics).
+    /// Completed operation count (also counted cluster-wide as
+    /// [`Counter::OpsCompleted`]).
     pub completed_ops: u64,
     /// Invoke/complete events for the chaos linearizability checker;
     /// bounded when nobody drains it.
@@ -343,7 +344,7 @@ impl ClientCore {
             unreachable!("body was built as a reply above")
         };
         if !self.keychain.verify_from(from, d.as_bytes(), mac) {
-            ctx.metrics().incr("client.bad_reply_auth");
+            ctx.count(Counter::BadReplyAuth);
             return None;
         }
         self.view_guess = self.view_guess.max(reply.view);
@@ -370,8 +371,8 @@ impl ClientCore {
             0.8 * self.latency_ewma + 0.2 * latency as f64
         };
         self.completed_ops += 1;
-        ctx.metrics().incr("client.ops_completed");
-        ctx.metrics().record("client.latency", latency);
+        ctx.count(Counter::OpsCompleted);
+        ctx.record_latency(latency);
         // The span close is the reply-recv edge of the request lifecycle;
         // `trace_now` stamps it at `now`, matching the latency recorded
         // above (`now - sent_at`), so assembled phase times sum exactly
@@ -449,9 +450,6 @@ impl ClientCore {
         p.retries += 1;
         p.replier = REPLIER_ALL;
         p.broadcast = true;
-        ctx.metrics().incr("client.ro_retries");
-        ctx.metrics().incr("client.ro_split_retries");
-        ctx.metrics().incr("client.retransmissions");
         ctx.count(Counter::RoRetries);
         ctx.count(Counter::Retransmissions);
         self.send_request(ctx);
@@ -480,7 +478,7 @@ impl ClientCore {
         Msg::Busy(busy).encode(&mut body_buf);
         let d = bft_crypto::digest(&body_buf);
         if !self.keychain.verify_from(from, d.as_bytes(), mac) {
-            ctx.metrics().incr("client.bad_busy_auth");
+            ctx.count(Counter::BadBusyAuth);
             return;
         }
         let (rounds, salt) = {
@@ -489,13 +487,11 @@ impl ClientCore {
                 return;
             }
             p.busy_rounds += 1;
-            ctx.metrics().incr("client.busy_received");
             if p.busy_rounds >= 2 && p.read_only {
                 // Persistent pushback: fall back from the optimistic
                 // one-round read to classic ordering.
                 p.read_only = false;
                 p.replier = REPLIER_ALL;
-                ctx.metrics().incr("client.busy_ro_fallbacks");
                 ctx.count(Counter::RoFallbacks);
             }
             (p.busy_rounds, p.timestamp)
@@ -525,7 +521,6 @@ impl ClientCore {
             // The budget is an observability boundary, not a liveness
             // one: flag the op as starved (once) and keep retrying.
             self.starved_ops += 1;
-            ctx.metrics().incr("client.retry_budget_exhausted");
             ctx.count(Counter::RetryBudgetExhausted);
         }
         let Some(p) = &mut self.pending else { return };
@@ -544,8 +539,6 @@ impl ClientCore {
         // then re-elect.
         if p.read_only && self.cfg.read_leases && p.retries <= 2 {
             p.replier = REPLIER_ALL;
-            ctx.metrics().incr("client.ro_retries");
-            ctx.metrics().incr("client.retransmissions");
             ctx.count(Counter::RoRetries);
             ctx.count(Counter::Retransmissions);
             self.send_request(ctx);
@@ -558,12 +551,10 @@ impl ClientCore {
         // withholds its tentative reply and the remaining matches cannot
         // reach 2f+1 (arXiv:2107.11144).
         if p.read_only {
-            ctx.metrics().incr("client.ro_fallbacks");
             ctx.count(Counter::RoFallbacks);
         }
         p.read_only = false;
         p.replier = REPLIER_ALL;
-        ctx.metrics().incr("client.retransmissions");
         ctx.count(Counter::Retransmissions);
         self.send_request(ctx);
     }
@@ -598,14 +589,11 @@ impl ClientCore {
                     if let Some(t) = self.retry_timer.take() {
                         ctx.cancel_timer(t);
                     }
-                    ctx.metrics().incr("client.flood_abandoned");
                 }
-                ctx.metrics().incr("client.flood_requests");
                 self.submit_inner(ctx, vec![1], false);
             }
             ClientBehavior::Replay { .. } => {
                 if self.pending.is_some() {
-                    ctx.metrics().incr("client.replayed_requests");
                     self.send_request(ctx);
                 }
             }
@@ -614,7 +602,6 @@ impl ClientCore {
                 // verification-cost pressure. The timestamp is past the
                 // reply cache but never reserved via `self.ts`, so no
                 // real op is ever shadowed by it.
-                ctx.metrics().incr("client.malformed_requests");
                 let req = Request {
                     client: self.id,
                     timestamp: self.ts + 1,
@@ -645,7 +632,7 @@ impl ClientCore {
 }
 
 /// What a [`ClientDriver`] can do: submit operations, set timers, read the
-/// clock and metrics.
+/// clock.
 pub struct ClientApi<'a, 'b> {
     core: &'a mut ClientCore,
     ctx: &'a mut Context<'b, Packet>,
@@ -693,11 +680,6 @@ impl ClientApi<'_, '_> {
     /// operations, which the paper notes reduces relative overhead).
     pub fn charge(&mut self, ns: u64) {
         self.ctx.charge(ns);
-    }
-
-    /// Shared metrics.
-    pub fn metrics(&mut self) -> &mut bft_sim::Metrics {
-        self.ctx.metrics()
     }
 
     /// The simulation RNG.

@@ -10,7 +10,7 @@ use crate::replica::{Behavior, Replica};
 use crate::service::{CounterService, Service};
 use crate::types::ClientId;
 use bft_sim::chaos::{ByzMode, ClientFault, Fault, FaultPlan, NodeFault};
-use bft_sim::{HealthReport, HealthSnapshot, NetConfig, NodeId, Simulation};
+use bft_sim::{Counter, HealthReport, HealthSnapshot, NetConfig, NodeId, Simulation};
 
 /// Mixes an index into a base seed (splitmix64), giving well-separated
 /// per-run seeds for fuzz loops and multi-cluster tests.
@@ -193,19 +193,27 @@ impl Cluster {
         self.sim.run_for(delta_ns);
     }
 
-    /// Total completed client operations (from the metrics).
+    /// Total completed client operations ([`Counter::OpsCompleted`]).
     pub fn completed_ops(&self) -> u64 {
-        self.sim.metrics().counter("client.ops_completed")
+        self.sim.health().total(Counter::OpsCompleted)
     }
 
     /// Per-replica health snapshots at the current simulated time, in
-    /// replica-id order. Observer-only: taking snapshots never changes
+    /// replica-id order, with the admission counters filled from the
+    /// counter registry. Observer-only: taking snapshots never changes
     /// the simulation.
     pub fn health_snapshots<S: Service>(&self) -> Vec<HealthSnapshot> {
         let now = self.sim.now().nanos();
         self.replicas
             .iter()
-            .map(|&i| self.replica::<S>(i).health_snapshot(now))
+            .map(|&i| {
+                let counters = self.sim.health().node(i);
+                HealthSnapshot {
+                    requests_shed: counters.event(Counter::RequestsShed),
+                    busy_sent: counters.event(Counter::BusySent),
+                    ..self.replica::<S>(i).health_snapshot(now)
+                }
+            })
             .collect()
     }
 

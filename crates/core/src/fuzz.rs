@@ -439,7 +439,7 @@ fn run_fuzz_schedule_inner(
     let empty = FaultPlan::empty();
     let mut rounds = 0;
     // Overload runs count a flooder's own junk completions in the global
-    // metric, which could mask a stuck honest client; they assert
+    // counter, which could mask a stuck honest client; they assert
     // per-client progress instead.
     let workload_done = |cluster: &Cluster| {
         if per_client_liveness {

@@ -1158,7 +1158,7 @@ pub enum Msg {
 }
 
 impl Msg {
-    /// A short name for metrics and debugging.
+    /// A short name for traces and debugging.
     pub fn kind(&self) -> &'static str {
         match self {
             Msg::Request(_) => "request",
@@ -1186,38 +1186,6 @@ impl Msg {
             Msg::LeaseRenew(_) => "lease-renew",
             Msg::LeaseRevoke(_) => "lease-revoke",
             Msg::Busy(_) => "busy",
-        }
-    }
-
-    /// The pre-interned per-kind receive counter name (`msg.<kind>`), so
-    /// the hot receive path records without allocating a key.
-    pub fn metric_name(&self) -> &'static str {
-        match self {
-            Msg::Request(_) => "msg.request",
-            Msg::PrePrepare(_) => "msg.pre-prepare",
-            Msg::Prepare(_) => "msg.prepare",
-            Msg::Commit(_) => "msg.commit",
-            Msg::Reply(_) => "msg.reply",
-            Msg::Checkpoint(_) => "msg.checkpoint",
-            Msg::ViewChange(_) => "msg.view-change",
-            Msg::NewView(_) => "msg.new-view",
-            Msg::FetchState(_) => "msg.fetch-state",
-            Msg::StateMeta(_) => "msg.state-meta",
-            Msg::FetchParts(_) => "msg.fetch-parts",
-            Msg::PartData(_) => "msg.part-data",
-            Msg::FetchBatch(_) => "msg.fetch-batch",
-            Msg::BatchData(_) => "msg.batch-data",
-            Msg::FetchRequests(_) => "msg.fetch-requests",
-            Msg::RequestData(_) => "msg.request-data",
-            Msg::Status(_) => "msg.status",
-            Msg::CommittedBatch(_) => "msg.committed-batch",
-            Msg::NewKey(_) => "msg.new-key",
-            Msg::Recover(_) => "msg.recover",
-            Msg::RecoverAttest(_) => "msg.recover-attest",
-            Msg::Lease(_) => "msg.lease",
-            Msg::LeaseRenew(_) => "msg.lease-renew",
-            Msg::LeaseRevoke(_) => "msg.lease-revoke",
-            Msg::Busy(_) => "msg.busy",
         }
     }
 

@@ -306,10 +306,6 @@ pub struct Replica<S: Service> {
     /// plus the shed penalty window and BUSY send throttle. One entry
     /// per authenticated client — bounded by the principal set.
     gate: BTreeMap<ClientId, ClientGate>,
-    /// Requests shed by admission control since startup (observer-only).
-    requests_shed: u64,
-    /// BUSY pushbacks sent since startup (observer-only).
-    busy_sent: u64,
     /// Peak ingest-backlog depth ever reached (observer-only).
     backlog_high_watermark: u64,
     behavior: Behavior,
@@ -392,8 +388,6 @@ impl<S: Service> Replica<S> {
             waiting_lease_ro: Vec::new(),
             recovery: RecoveryManager::new(),
             gate: BTreeMap::new(),
-            requests_shed: 0,
-            busy_sent: 0,
             backlog_high_watermark: 0,
             behavior: Behavior::Correct,
             audit: ReplicaAudit::default(),
@@ -469,7 +463,10 @@ impl<S: Service> Replica<S> {
     /// An observer-only, typed snapshot of this replica's externally
     /// observable state at simulated time `at_ns` — views, execution and
     /// checkpoint watermarks, queue depths, lease/recovery status. Pure
-    /// read: taking a snapshot never changes protocol behaviour.
+    /// read: taking a snapshot never changes protocol behaviour. The
+    /// replica keeps no counters, so `requests_shed` and `busy_sent` read
+    /// zero here; [`Cluster::health_snapshots`](crate::cluster::Cluster::health_snapshots)
+    /// fills them from the simulation's counter registry.
     pub fn health_snapshot(&self, at_ns: u64) -> HealthSnapshot {
         let lease = self.held_lease.as_ref().filter(|l| at_ns < l.expires_at_ns);
         HealthSnapshot {
@@ -496,8 +493,8 @@ impl<S: Service> Replica<S> {
             lease_held: lease.is_some(),
             lease_expiry_ns: lease.map_or(0, |l| l.expires_at_ns),
             fast_path: self.cfg.fast_path,
-            requests_shed: self.requests_shed,
-            busy_sent: self.busy_sent,
+            requests_shed: 0,
+            busy_sent: 0,
             backlog_high_watermark: self.backlog_high_watermark,
         }
     }
@@ -722,7 +719,6 @@ impl<S: Service> Replica<S> {
             // Fault injection: the checkpointing machinery is wedged. The
             // replica keeps executing but never produces (or announces)
             // this checkpoint, so its stable point freezes.
-            ctx.metrics().incr("replica.checkpoints_skipped_stale");
             return;
         }
         let cache_bytes = Self::encode_cache(&self.reply_cache);
@@ -749,8 +745,8 @@ impl<S: Service> Replica<S> {
         ctx.trace(SpanEdge::Open, TracePhase::Checkpoint, cp_meta);
         ctx.charge_kind(CostKind::Digest, digest_ns);
         ctx.trace(SpanEdge::Close, TracePhase::Checkpoint, cp_meta);
-        ctx.metrics().incr("replica.checkpoints_made");
-        ctx.metrics().add("replica.checkpoint_digest_ns", digest_ns);
+        ctx.count(Counter::CheckpointsMade);
+        ctx.count_add(Counter::CheckpointDigestNs, digest_ns);
         let parts = if self.service.retain_checkpoint(seq) {
             None
         } else {
@@ -935,8 +931,6 @@ impl<S: Service> Replica<S> {
     /// client hears BUSY and backs off instead of retransmitting into
     /// the same wall.
     fn shed_request(&mut self, ctx: &mut Context<'_, Packet>, client: ClientId, ts: Timestamp) {
-        self.requests_shed += 1;
-        ctx.metrics().incr("replica.requests_shed");
         ctx.count(Counter::RequestsShed);
         self.send_busy(ctx, client, ts);
     }
@@ -952,8 +946,6 @@ impl<S: Service> Replica<S> {
             return;
         }
         g.last_busy_ns = now;
-        self.busy_sent += 1;
-        ctx.metrics().incr("replica.busy_sent");
         ctx.count(Counter::BusySent);
         let busy = Busy {
             client,
@@ -981,7 +973,7 @@ impl<S: Service> Replica<S> {
             return;
         }
         let Some(d) = self.verify_request(ctx, &req) else {
-            ctx.metrics().incr("replica.bad_request_auth");
+            ctx.count(Counter::BadRequestAuth);
             return;
         };
         ctx.trace(
@@ -1023,7 +1015,7 @@ impl<S: Service> Replica<S> {
                 // assemble its 2f+1 quorum from the healthy replicas or
                 // retry through the ordered read-write path
                 // (arXiv:2107.11144's read-liveness concern).
-                ctx.metrics().incr("replica.ro_dropped_in_recovery");
+                ctx.count(Counter::RoDroppedInRecovery);
                 return;
             }
             if self.cfg.read_leases && !self.is_primary() {
@@ -1043,11 +1035,9 @@ impl<S: Service> Replica<S> {
                         // with BUSY so it re-issues after a backoff
                         // instead of waiting out a full retry timeout.
                         let evicted = self.waiting_lease_ro.remove(0);
-                        ctx.metrics().incr("replica.lease_reads_evicted");
                         self.shed_request(ctx, evicted.client, evicted.timestamp);
                     }
                     self.waiting_lease_ro.push(req);
-                    ctx.metrics().incr("replica.lease_reads_queued");
                 }
                 return;
             }
@@ -1109,7 +1099,6 @@ impl<S: Service> Replica<S> {
                 ctx.now().nanos(),
                 result.clone(),
             );
-            ctx.metrics().incr("replica.lease_reads");
             ctx.count(Counter::LeaseReads);
             ctx.trace(
                 SpanEdge::Instant,
@@ -1154,7 +1143,7 @@ impl<S: Service> Replica<S> {
                 reply,
             });
         }
-        ctx.metrics().incr("replica.read_only_execs");
+        ctx.count(Counter::ReadOnlyExecs);
     }
 
     // ------------------------------------------------------------------
@@ -1261,7 +1250,6 @@ impl<S: Service> Replica<S> {
     fn issue_lease_grant(&mut self, ctx: &mut Context<'_, Packet>) {
         let now = ctx.now().nanos();
         if !self.lease_evidence_ok(now) {
-            ctx.metrics().incr("replica.lease_grants_withheld");
             return;
         }
         self.lease_epoch += 1;
@@ -1277,7 +1265,6 @@ impl<S: Service> Replica<S> {
             revoke_epoch: 0,
             acks: BTreeSet::new(),
         });
-        ctx.metrics().incr("replica.lease_grants");
         ctx.count(Counter::LeaseGrants);
         self.multicast(ctx, Msg::Lease(lease));
     }
@@ -1316,7 +1303,6 @@ impl<S: Service> Replica<S> {
             return false;
         };
         if now >= g.expires_at_ns {
-            ctx.metrics().incr("replica.lease_fence_expiries");
             self.lease_grant = None;
             return false;
         }
@@ -1330,7 +1316,6 @@ impl<S: Service> Replica<S> {
             let g = self.lease_grant.as_mut().expect("checked above");
             g.revoking = true;
             g.revoke_epoch = epoch;
-            ctx.metrics().incr("replica.lease_revokes");
             ctx.count(Counter::LeaseRevokes);
             let rv = LeaseRevoke {
                 view: self.view,
@@ -1375,7 +1360,6 @@ impl<S: Service> Replica<S> {
             seq: l.seq,
             expires_at_ns: now + l.duration_ns,
         });
-        ctx.metrics().incr("replica.leases_held");
         // The ack doubles as the primary's liveness evidence: a primary
         // that stops hearing these (and other view-matching traffic)
         // stops granting.
@@ -1392,7 +1376,7 @@ impl<S: Service> Replica<S> {
     /// A holder's grant acknowledgment (primary side).
     fn handle_lease_renew(&mut self, ctx: &mut Context<'_, Packet>, from: NodeId, lr: LeaseRenew) {
         if lr.replica != from {
-            ctx.metrics().incr("replica.spoofed_sender");
+            ctx.count(Counter::SpoofedSender);
             return;
         }
         if !self.cfg.read_leases {
@@ -1417,7 +1401,7 @@ impl<S: Service> Replica<S> {
         rv: LeaseRevoke,
     ) {
         if rv.replica != from {
-            ctx.metrics().incr("replica.spoofed_sender");
+            ctx.count(Counter::SpoofedSender);
             return;
         }
         if !self.cfg.read_leases {
@@ -1444,7 +1428,6 @@ impl<S: Service> Replica<S> {
             g.acks.insert(rv.replica);
             if g.acks.len() >= self.cfg.quorums.lease_revoke_quorum() {
                 self.lease_grant = None;
-                ctx.metrics().incr("replica.lease_fence_acked");
                 self.try_propose(ctx);
             }
         } else {
@@ -1460,7 +1443,6 @@ impl<S: Service> Replica<S> {
             // primary's fence until expiry.
             self.lease_epoch_seen = rv.epoch;
             self.held_lease = None;
-            ctx.metrics().incr("replica.lease_revoke_acks");
             let ack = LeaseRevoke {
                 view: rv.view,
                 epoch: rv.epoch,
@@ -1604,7 +1586,6 @@ impl<S: Service> Replica<S> {
                 batch_digest: d,
                 piggy_commits: piggy,
             };
-            ctx.metrics().incr("replica.batches_proposed");
             ctx.trace(
                 SpanEdge::Open,
                 TracePhase::PrePrepare,
@@ -1669,7 +1650,7 @@ impl<S: Service> Replica<S> {
             if slot.view == pp.view {
                 if let Some(d) = slot.digest {
                     if d != pp.batch_digest {
-                        ctx.metrics().incr("replica.conflicting_pre_prepare");
+                        ctx.count(Counter::ConflictingPrePrepare);
                     }
                     return; // already accepted (or conflicting: ignore)
                 }
@@ -1680,7 +1661,7 @@ impl<S: Service> Replica<S> {
         // serves the batch check, the authenticator check and the store.
         let digests: Vec<Digest> = pp.entries.iter().map(BatchEntry::digest).collect();
         if batch_digest_of(&digests) != pp.batch_digest {
-            ctx.metrics().incr("replica.bad_batch_digest");
+            ctx.count(Counter::BadBatchDigest);
             return;
         }
         ctx.charge_kind(
@@ -1693,7 +1674,7 @@ impl<S: Service> Replica<S> {
             match entry {
                 BatchEntry::Full(req) => {
                     if !self.verify_request_digest(ctx, req, &d) {
-                        ctx.metrics().incr("replica.bad_request_auth");
+                        ctx.count(Counter::BadRequestAuth);
                         return;
                     }
                     self.store_request(d, req.clone());
@@ -1763,7 +1744,7 @@ impl<S: Service> Replica<S> {
         // another replica's id is a forgery (one Byzantine replica could
         // otherwise single-handedly complete a vote quorum).
         if prep.replica != from {
-            ctx.metrics().incr("replica.spoofed_sender");
+            ctx.count(Counter::SpoofedSender);
             return;
         }
         self.process_piggy(ctx, prep.replica, &prep.piggy_commits);
@@ -1851,7 +1832,6 @@ impl<S: Service> Replica<S> {
         if slot.fast_quorum_complete(&q) {
             let d = slot.digest.expect("prepared implies digest");
             self.log.slot_mut(seq).fast_committed = true;
-            ctx.metrics().incr("replica.fast_commits");
             ctx.count(Counter::FastCommits);
             self.audit.note_fast_committed(seq, d);
             self.try_execute(ctx);
@@ -1881,7 +1861,6 @@ impl<S: Service> Replica<S> {
             slot.commit_sent = true;
             slot.commits.insert(me, d);
         }
-        ctx.metrics().incr("replica.fast_fallbacks");
         ctx.count(Counter::FastFallbacks);
         let meta = TraceMeta {
             view: self.view,
@@ -1945,7 +1924,7 @@ impl<S: Service> Replica<S> {
         // Same sender check as prepares: a commit claiming another
         // replica's id is a forgery.
         if c.replica != from {
-            ctx.metrics().incr("replica.spoofed_sender");
+            ctx.count(Counter::SpoofedSender);
             return;
         }
         if self.cfg.read_leases && c.view == self.view {
@@ -2238,7 +2217,6 @@ impl<S: Service> Replica<S> {
             }
             let client = req.client;
             self.send_to(ctx, client, Msg::Reply(reply));
-            ctx.metrics().incr("replica.ops_executed");
             ctx.trace(
                 SpanEdge::Instant,
                 TracePhase::ExecuteRequest,
@@ -2370,7 +2348,6 @@ impl<S: Service> Replica<S> {
                 self.service.release_checkpoints_below(seq);
                 self.log.collect_garbage(seq);
                 self.backfill.retain(|&(s, _), _| s > seq);
-                ctx.metrics().incr("replica.stable_checkpoints");
                 ctx.count(Counter::StableCheckpoints);
             }
             _ => {
@@ -2394,7 +2371,6 @@ impl<S: Service> Replica<S> {
         let target = (self.id + 1) % self.cfg.n();
         self.fetching = Some(StateFetch::new(seq, digest, target));
         self.send_to(ctx, target, Msg::FetchState(FetchState { seq }));
-        ctx.metrics().incr("replica.state_transfers_started");
         ctx.trace(
             SpanEdge::Open,
             TracePhase::StateTransfer,
@@ -2448,7 +2424,7 @@ impl<S: Service> Replica<S> {
         // checkpoint digest before trusting any of them.
         ctx.charge_kind(CostKind::Digest, self.cfg.cost.digest(sm.leaves.len() * 16));
         if CheckpointTracker::root_of(&sm.leaves) != fetch.digest {
-            ctx.metrics().incr("replica.state_transfer_bad_meta");
+            ctx.count(Counter::StateTransferBadMeta);
             self.retry_state_transfer(ctx);
             return;
         }
@@ -2466,8 +2442,8 @@ impl<S: Service> Replica<S> {
         if bft_crypto::digest(&Self::encode_cache(&self.reply_cache)) != sm.leaves[count as usize] {
             missing.insert(count);
         }
-        ctx.metrics().add(
-            "replica.state_parts_skipped",
+        ctx.count_add(
+            Counter::StatePartsSkipped,
             u64::from(count + 1) - missing.len() as u64,
         );
         let fetch = self.fetching.as_mut().expect("checked above");
@@ -2552,15 +2528,13 @@ impl<S: Service> Replica<S> {
             fetch.missing.remove(&p);
             fetched_bytes += bytes.len() as u64;
         }
-        ctx.metrics()
-            .add("replica.state_bytes_fetched", fetched_bytes);
         ctx.count_add(Counter::StateTransferBytes, fetched_bytes);
         let done = fetch.missing.is_empty();
         self.fetching = Some(fetch);
         if corrupt {
             // A faulty replica sent bytes that do not match the verified
             // leaves; the bad partitions stay missing. Try another peer.
-            ctx.metrics().incr("replica.state_transfer_bad_snapshot");
+            ctx.count(Counter::StateTransferBadSnapshot);
             self.retry_state_transfer(ctx);
         } else if done {
             self.finish_state_transfer(ctx);
@@ -2590,7 +2564,7 @@ impl<S: Service> Replica<S> {
         if self.tracker.root() != digest {
             // Partition layout mismatch or a service restore bug; restart
             // the transfer from scratch against another peer.
-            ctx.metrics().incr("replica.state_transfer_bad_snapshot");
+            ctx.count(Counter::StateTransferBadSnapshot);
             let target = (fetch.target + 1) % self.cfg.n();
             self.fetching = Some(StateFetch::new(seq, digest, target));
             self.send_to(ctx, target, Msg::FetchState(FetchState { seq }));
@@ -2625,7 +2599,6 @@ impl<S: Service> Replica<S> {
         self.checkpoints.make_stable(seq, digest);
         self.service.release_checkpoints_below(seq);
         self.log.collect_garbage(seq);
-        ctx.metrics().incr("replica.state_transfers_completed");
         ctx.count(Counter::StateTransfers);
         ctx.trace(
             SpanEdge::Close,
@@ -2728,7 +2701,6 @@ impl<S: Service> Replica<S> {
             return;
         }
         // f+1 distinct peers assert commitment: at least one is correct.
-        ctx.metrics().incr("replica.backfilled_batches");
         {
             let view = self.view;
             let slot = self.log.slot_mut(cb.seq);
@@ -2772,7 +2744,6 @@ impl<S: Service> Replica<S> {
                     self.resolve_pending_batches(ctx);
                     return;
                 }
-                ctx.metrics().incr("replica.body_recoveries");
                 self.send_to(
                     ctx,
                     target,
@@ -2780,7 +2751,6 @@ impl<S: Service> Replica<S> {
                 );
             }
             None => {
-                ctx.metrics().incr("replica.batch_recoveries");
                 self.send_to(
                     ctx,
                     target,
@@ -2973,7 +2943,6 @@ impl<S: Service> Replica<S> {
             replica: self.id,
         };
         self.vc_set.add(vc.clone());
-        ctx.metrics().incr("replica.view_changes_started");
         ctx.count(Counter::ViewChanges);
         ctx.trace(
             SpanEdge::Open,
@@ -3018,7 +2987,6 @@ impl<S: Service> Replica<S> {
         }
         *gate = now + self.cfg.resend_interval_ns.max(20_000_000);
         let nv = nv.clone();
-        ctx.metrics().incr("replica.new_view_retransmits");
         ctx.count(Counter::NewViewRetransmits);
         self.send_to(ctx, to, Msg::NewView(nv));
     }
@@ -3099,7 +3067,6 @@ impl<S: Service> Replica<S> {
             pre_prepares,
             batches: batches.clone(),
         };
-        ctx.metrics().incr("replica.new_views_sent");
         if self.behavior != Behavior::BadNewView {
             self.last_new_view = Some(nv.clone());
         }
@@ -3117,7 +3084,7 @@ impl<S: Service> Replica<S> {
             Ok(p) => p,
             Err(_) => {
                 // The new primary is faulty too: move on.
-                ctx.metrics().incr("replica.bad_new_view");
+                ctx.count(Counter::BadNewView);
                 self.start_view_change(ctx, nv.view + 1);
                 return;
             }
@@ -3251,7 +3218,6 @@ impl<S: Service> Replica<S> {
         if is_primary && self.cfg.read_leases {
             self.lease_order_gate_ns = ctx.now().nanos() + 2 * self.cfg.read_lease_ns;
         }
-        ctx.metrics().incr("replica.views_installed");
         ctx.count(Counter::ViewsInstalled);
         ctx.trace(
             SpanEdge::Close,
@@ -3323,7 +3289,7 @@ impl<S: Service> Replica<S> {
     /// survives the boundary.
     fn refresh_keys(&mut self, ctx: &mut Context<'_, Packet>) {
         let epoch = self.keychain.refresh();
-        ctx.metrics().incr("replica.key_refreshes");
+        ctx.count(Counter::KeyRefreshes);
         // Paper-era cost: the real NEW-KEY encrypts one session key per
         // principal under RSA and signs the message.
         ctx.charge_kind(
@@ -3369,7 +3335,6 @@ impl<S: Service> Replica<S> {
         }
         let now = ctx.now().nanos();
         if let Some(until) = self.recovery.lease_blocking(self.id, now) {
-            ctx.metrics().incr("replica.recovery_deferred");
             ctx.set_timer(until.saturating_sub(now) + dur::millis(1), TIMER_RECOVERY);
             return;
         }
@@ -3382,7 +3347,7 @@ impl<S: Service> Replica<S> {
     /// the group to attest its stable checkpoint root. Nothing local is
     /// trusted until a witness quorum (`f+1`) agrees on that root.
     fn begin_recovery(&mut self, ctx: &mut Context<'_, Packet>) {
-        ctx.metrics().incr("replica.proactive_recoveries");
+        ctx.count(Counter::ProactiveRecoveries);
         ctx.trace(
             SpanEdge::Open,
             TracePhase::Recovery,
@@ -3400,7 +3365,7 @@ impl<S: Service> Replica<S> {
         // promise made to holders outlives the reboot within the view.
         self.held_lease = None;
         self.waiting_lease_ro.clear();
-        self.recovery.begin(ctx.now().nanos());
+        self.recovery.begin();
         let rc = Recover {
             replica: self.id,
             epoch: self.keychain.epoch(),
@@ -3431,7 +3396,6 @@ impl<S: Service> Replica<S> {
         let now = ctx.now().nanos();
         self.recovery
             .grant_lease(from, now + self.cfg.recovery_lease_ns);
-        ctx.metrics().incr("replica.recover_leases_granted");
         let (seq, state_digest) = self.checkpoints.stable_proof();
         let ra = RecoverAttest {
             seq,
@@ -3570,7 +3534,7 @@ impl<S: Service> Replica<S> {
         } else {
             // Local copy is missing, stale, or corrupt: audit against the
             // group. Only mismatched partitions cross the network.
-            ctx.metrics().incr("replica.recovery_audit_refetch");
+            ctx.count(Counter::RecoveryAuditRefetch);
             let target = (self.id + 1) % self.cfg.n();
             self.fetching = Some(StateFetch::new(seq, digest, target));
             ctx.trace(
@@ -3590,10 +3554,6 @@ impl<S: Service> Replica<S> {
     /// Announce completion so peers release the in-recovery lease, and
     /// gossip status so they backfill what committed while we recovered.
     fn complete_recovery(&mut self, ctx: &mut Context<'_, Packet>, seq: SeqNum, digest: Digest) {
-        let now = ctx.now().nanos();
-        let heal_ns = now.saturating_sub(self.recovery.since_ns().unwrap_or(now));
-        ctx.metrics().add("replica.recovery_heal_ns", heal_ns);
-        ctx.metrics().incr("replica.recoveries_completed");
         ctx.count(Counter::Recoveries);
         self.recovery.finish();
         self.audit.note_recovery(seq, digest, ctx.now().nanos());
@@ -3741,7 +3701,7 @@ impl<S: Service> Replica<S> {
             .slot(seq)
             .is_some_and(|slot| slot.fast_wait && !slot.fast_committed && !slot.commit_sent);
         if waiting {
-            ctx.metrics().incr("replica.fast_timeouts");
+            ctx.count(Counter::FastTimeouts);
             self.fall_back_to_classic(ctx, seq);
         }
     }
@@ -3820,10 +3780,9 @@ impl<S: Service> Node<Packet> for Replica<S> {
             return;
         }
         ctx.charge_kind(CostKind::Net, self.cfg.cost.recv(wire));
-        ctx.metrics().incr(packet.body.metric_name());
         ctx.count_received(packet.body.tag());
         if !self.verify_packet(ctx, from, &packet) {
-            ctx.metrics().incr("replica.bad_packet_auth");
+            ctx.count(Counter::BadPacketAuth);
             return;
         }
         let had_store = self.request_store.len();

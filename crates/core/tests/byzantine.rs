@@ -4,7 +4,7 @@
 
 use bft_core::messages::{Commit, Msg, Packet, NULL_DIGEST};
 use bft_core::prelude::*;
-use bft_sim::dur;
+use bft_sim::{dur, Counter};
 
 struct LoopDriver {
     target: u64,
@@ -81,7 +81,7 @@ fn corrupt_auth_primary_is_replaced() {
     let id = c.add_client(LoopDriver::new(12));
     c.run_for(dur::secs(30));
     assert_correct_results(&c, id, 12);
-    assert!(c.sim.metrics().counter("replica.bad_packet_auth") > 0);
+    assert!(c.sim.health().total(Counter::BadPacketAuth) > 0);
 }
 
 #[test]
@@ -206,10 +206,7 @@ fn corrupted_state_transfer_snapshot_is_detected() {
     c.sim.network_mut().heal_node(3);
     c.run_for(dur::secs(15));
     assert!(
-        c.sim
-            .metrics()
-            .counter("replica.state_transfer_bad_snapshot")
-            > 0,
+        c.sim.health().total(Counter::StateTransferBadSnapshot) > 0,
         "the corrupted snapshot must be detected"
     );
     let r3 = c.replica::<CounterService>(3);
@@ -234,7 +231,7 @@ fn forged_new_view_is_rejected_and_skipped() {
     c.run_for(dur::secs(60));
     assert_correct_results(&c, id, 10);
     assert!(
-        c.sim.metrics().counter("replica.bad_new_view") > 0,
+        c.sim.health().total(Counter::BadNewView) > 0,
         "the forged NEW-VIEW must be detected"
     );
     for r in [2u32, 3] {

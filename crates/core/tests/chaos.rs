@@ -36,7 +36,7 @@ use bft_core::fuzz::{
 };
 use bft_core::prelude::*;
 use bft_sim::chaos::{ByzMode, ClientFault, Fault, FaultEvent, NetFault, NodeFault};
-use bft_sim::dur;
+use bft_sim::{dur, Counter};
 
 /// Fixed default base seed so a plain `cargo test` run is reproducible.
 const DEFAULT_BASE_SEED: u64 = 0xCA05_2026;
@@ -220,9 +220,9 @@ fn replay_overload_one() {
 
 /// Runs four clients (the last optionally flooding from 300 ms on) for a
 /// fixed window under the overload configuration and returns the honest
-/// clients' combined completed-op count plus the metric counters the
-/// fairness test asserts on.
-fn overload_goodput(seed: u64, flood_interval_ns: Option<u64>) -> (u64, u64, u64) {
+/// clients' combined completed-op count plus the cluster, whose counters
+/// the fairness tests assert on.
+fn overload_goodput(seed: u64, flood_interval_ns: Option<u64>) -> (u64, Cluster) {
     let cfg = overload_fuzz_config(1);
     let mut cluster = Cluster::builder(cfg).seed(seed).build_counter();
     // Targets far beyond what the window allows: goodput is whatever
@@ -250,33 +250,12 @@ fn overload_goodput(seed: u64, flood_interval_ns: Option<u64>) -> (u64, u64, u64
         .iter()
         .map(|&id| cluster.client::<ChaosDriver>(id).completed_ops())
         .sum();
-    let metrics = cluster.sim.metrics();
     if std::env::var("CHAOS_DEBUG").is_ok() {
-        for c in [
-            "replica.requests_shed",
-            "replica.busy_sent",
-            "replica.batches_proposed",
-            "replica.view_changes_started",
-            "replica.lease_reads",
-            "replica.lease_revokes",
-            "replica.lease_reads_evicted",
-            "client.flood_requests",
-            "client.flood_abandoned",
-            "client.busy_received",
-            "client.busy_ro_fallbacks",
-            "client.retransmissions",
-            "client.ro_fallbacks",
-            "client.ops_completed",
-            "client.retry_budget_exhausted",
-        ] {
-            println!("  {c}: {}", metrics.counter(c));
+        for (name, total) in cluster.sim.health().flattened() {
+            println!("  {name}: {total}");
         }
     }
-    (
-        goodput,
-        metrics.counter("replica.requests_shed"),
-        metrics.counter("replica.busy_sent"),
-    )
+    (goodput, cluster)
 }
 
 /// Overload fairness: one client flooding at ~25k req/s (a saturating
@@ -289,11 +268,30 @@ fn overload_goodput(seed: u64, flood_interval_ns: Option<u64>) -> (u64, u64, u64
 /// after every event).
 #[test]
 fn flooding_client_cannot_starve_honest_clients() {
-    let (baseline, _, _) = overload_goodput(0x0F_A1, None);
-    let (flooded, shed, busy) = overload_goodput(0x0F_A1, Some(dur::micros(40)));
+    let (baseline, _) = overload_goodput(0x0F_A1, None);
+    let (flooded, cluster) = overload_goodput(0x0F_A1, Some(dur::micros(40)));
+    let health = cluster.sim.health();
     assert!(baseline > 100, "baseline must do real work, got {baseline}");
-    assert!(shed > 0, "the admission gate must have shed flood requests");
-    assert!(busy > 0, "sheds must be answered with BUSY, not dropped");
+    assert!(
+        health.total(Counter::RequestsShed) > 0,
+        "the admission gate must have shed flood requests"
+    );
+    assert!(
+        health.total(Counter::BusySent) > 0,
+        "sheds must be answered with BUSY, not dropped"
+    );
+    // The health report reads its admission counters from the registry,
+    // and only replicas shed or send BUSY.
+    let report = cluster.health_report::<CounterService>();
+    for snap in &report.snapshots {
+        let node = health.node(snap.node);
+        assert_eq!(snap.requests_shed, node.event(Counter::RequestsShed));
+        assert_eq!(snap.busy_sent, node.event(Counter::BusySent));
+    }
+    let shed: u64 = report.snapshots.iter().map(|s| s.requests_shed).sum();
+    let busy: u64 = report.snapshots.iter().map(|s| s.busy_sent).sum();
+    assert_eq!(shed, health.total(Counter::RequestsShed));
+    assert_eq!(busy, health.total(Counter::BusySent));
     assert!(
         flooded * 10 >= baseline * 8,
         "honest goodput under flood ({flooded}) fell more than 20% below baseline ({baseline})"
@@ -308,10 +306,13 @@ fn flooding_client_cannot_starve_honest_clients() {
 /// every event throughout.
 #[test]
 fn ten_x_saturating_flood_keeps_half_of_honest_goodput() {
-    let (baseline, _, _) = overload_goodput(0x0F_A2, None);
-    let (flooded, shed, _) = overload_goodput(0x0F_A2, Some(dur::micros(13)));
+    let (baseline, _) = overload_goodput(0x0F_A2, None);
+    let (flooded, cluster) = overload_goodput(0x0F_A2, Some(dur::micros(13)));
     assert!(baseline > 100, "baseline must do real work, got {baseline}");
-    assert!(shed > 0, "the admission gate must have shed flood requests");
+    assert!(
+        cluster.sim.health().total(Counter::RequestsShed) > 0,
+        "the admission gate must have shed flood requests"
+    );
     assert!(
         flooded * 2 >= baseline,
         "honest goodput under a 10x flood ({flooded}) fell below 50% of baseline ({baseline})"
@@ -339,13 +340,13 @@ fn fastpath_fault_free_commits_without_commit_round() {
         .expect("no invariant may break");
     checker.finish().expect("linearizability must hold");
     assert_eq!(cluster.completed_ops(), 80, "all ops must complete");
-    let metrics = cluster.sim.metrics();
+    let health = cluster.sim.health();
     assert!(
-        metrics.counter("replica.fast_commits") > 0,
+        health.total(Counter::FastCommits) > 0,
         "fault-free slots must fast-commit"
     );
     assert_eq!(
-        metrics.counter("replica.fast_fallbacks"),
+        health.total(Counter::FastFallbacks),
         0,
         "no fault-free slot may fall back to the classic path"
     );
@@ -378,13 +379,13 @@ fn silent_backup_forces_classic_fallback() {
         .expect("no invariant may break");
     checker.finish().expect("linearizability must hold");
     assert_eq!(cluster.completed_ops(), 30, "all ops must complete");
-    let metrics = cluster.sim.metrics();
+    let health = cluster.sim.health();
     assert!(
-        metrics.counter("replica.fast_fallbacks") > 0,
+        health.total(Counter::FastFallbacks) > 0,
         "sub-fast-quorum participation must fall back to the classic path"
     );
     assert!(
-        metrics.counter("replica.fast_timeouts") > 0,
+        health.total(Counter::FastTimeouts) > 0,
         "the per-slot fast-path timer must have fired"
     );
 }
@@ -435,11 +436,7 @@ fn silent_corruption_converges_after_recovery() {
         "the corrupted replica must have healed"
     );
     assert!(
-        cluster
-            .sim
-            .metrics()
-            .counter("replica.recoveries_completed")
-            > 0,
+        cluster.sim.health().total(Counter::Recoveries) > 0,
         "the recovery watchdog must have fired"
     );
     // Every replica (the ex-corrupt one included) has converged to the
@@ -625,7 +622,7 @@ fn read_only_conflicts_retry_as_read_write() {
         "every read must complete despite the unreachable read-only quorum"
     );
     assert!(
-        cluster.sim.metrics().counter("client.retransmissions") > 0,
+        cluster.sim.health().total(Counter::Retransmissions) > 0,
         "reads must have timed out and retried as read-write"
     );
     let _ = writer;
@@ -660,17 +657,17 @@ fn leased_reads_stay_one_round_under_conflicting_writes() {
         .expect("no invariant may break (incl. stale lease reads)");
     checker.finish().expect("linearizability must hold");
     assert_eq!(cluster.completed_ops(), 720, "all ops must complete");
-    let metrics = cluster.sim.metrics();
+    let health = cluster.sim.health();
     assert!(
-        metrics.counter("replica.lease_reads") > 0,
+        health.total(Counter::LeaseReads) > 0,
         "reads must have been served locally under a lease"
     );
     assert!(
-        metrics.counter("replica.lease_revokes") > 0,
+        health.total(Counter::LeaseRevokes) > 0,
         "concurrent writes must have exercised the revoke fence"
     );
     assert_eq!(
-        metrics.counter("client.ro_fallbacks"),
+        health.total(Counter::RoFallbacks),
         0,
         "no read may fall back to the ordered read-write path"
     );
@@ -708,11 +705,7 @@ fn view_change_under_asymmetric_partition() {
     checker.finish().expect("linearizability must hold");
     assert_eq!(cluster.completed_ops(), 800, "progress must resume");
     assert!(
-        cluster
-            .sim
-            .metrics()
-            .counter("replica.view_changes_started")
-            > 0,
+        cluster.sim.health().total(Counter::ViewChanges) > 0,
         "the backups must have run a view change"
     );
     for i in 0..4 {

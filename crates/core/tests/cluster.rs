@@ -2,8 +2,11 @@
 //! optimization setting, checkpointing and garbage collection, view
 //! changes, state transfer, and Byzantine fault injection.
 
+use bft_core::messages::{AuthTag, Busy, Msg};
 use bft_core::prelude::*;
-use bft_sim::dur;
+use bft_core::wire::Wire;
+use bft_crypto::KeyChain;
+use bft_sim::{dur, Counter};
 
 /// A closed-loop driver issuing `target` operations produced by `make_op`,
 /// recording every result.
@@ -84,7 +87,7 @@ fn normal_case_completes_all_operations() {
     assert_eq!(cluster.completed_ops(), 60);
     assert_replica_agreement(&cluster, 60);
     assert_eq!(
-        cluster.sim.metrics().counter("client.retransmissions"),
+        cluster.sim.health().total(Counter::Retransmissions),
         0,
         "lossless normal case should not retransmit"
     );
@@ -174,7 +177,7 @@ fn checkpoints_become_stable_and_gc_runs() {
             rep.stable_checkpoint()
         );
     }
-    assert!(cluster.sim.metrics().counter("replica.stable_checkpoints") > 0);
+    assert!(cluster.sim.health().total(Counter::StableCheckpoints) > 0);
 }
 
 #[test]
@@ -200,7 +203,62 @@ fn read_only_operations_are_fast_and_consistent() {
         let writes_so_far = (i as u64 + 2) / 2;
         assert_eq!(v, writes_so_far, "op #{i}");
     }
-    assert!(cluster.sim.metrics().counter("replica.read_only_execs") > 0);
+    assert!(cluster.sim.health().total(Counter::ReadOnlyExecs) > 0);
+}
+
+/// Two authenticated BUSY rounds push a read-only operation off the
+/// optimistic path: it completes through ordering, and the fallback is
+/// counted once.
+#[test]
+fn persistent_busy_falls_back_from_read_only_to_ordered() {
+    let mut cfg = Config::new(1);
+    cfg.admission_control = true;
+    let n = cfg.n();
+    let mut cluster = counter_cluster(23, cfg);
+    let c = cluster.add_client(LoopDriver::with_op(
+        1,
+        Box::new(|_| (CounterService::get_op(), true)),
+    ));
+    // Cut the client off so its read-only round goes unanswered; the
+    // BUSY packets are injected past the network.
+    cluster.sim.network_mut().isolate(c, n);
+    cluster.run_for(dur::micros(100));
+    for replica in 0..2 {
+        let body = Msg::Busy(Busy {
+            client: c,
+            timestamp: 1,
+            replica,
+            retry_after_ns: dur::millis(1),
+        });
+        let d = bft_crypto::digest(&body.to_bytes());
+        let mac = KeyChain::new(replica, n).mac_for(c, d.as_bytes());
+        let packet = Packet {
+            body,
+            auth: AuthTag::Mac(mac),
+        };
+        let wire = packet.wire_bytes();
+        cluster.sim.inject(c, replica, packet, wire);
+    }
+    cluster.run_for(dur::micros(100));
+    assert_eq!(cluster.sim.health().total(Counter::RoFallbacks), 1);
+    assert_eq!(cluster.completed_ops(), 0);
+
+    cluster.sim.network_mut().heal();
+    cluster.run_for(dur::secs(1));
+    assert_eq!(cluster.completed_ops(), 1);
+    assert_eq!(
+        cluster.client::<LoopDriver>(c).driver().results,
+        vec![0u64.to_le_bytes().to_vec()]
+    );
+    assert_eq!(cluster.sim.health().total(Counter::RoFallbacks), 1);
+    assert_eq!(cluster.sim.health().total(Counter::ReadOnlyExecs), 0);
+    for r in 0..n {
+        assert_eq!(
+            cluster.replica::<CounterService>(r).last_executed(),
+            1,
+            "replica {r} must have ordered the read"
+        );
+    }
 }
 
 #[test]
@@ -321,7 +379,7 @@ fn corrupt_auth_replica_is_ignored() {
     cluster.run_for(dur::secs(10));
     assert_eq!(cluster.completed_ops(), 15);
     assert!(
-        cluster.sim.metrics().counter("replica.bad_packet_auth") > 0,
+        cluster.sim.health().total(Counter::BadPacketAuth) > 0,
         "corrupted MACs must be detected"
     );
 }
@@ -365,11 +423,7 @@ fn partitioned_replica_catches_up_via_state_transfer() {
         r3.service().value()
     );
     assert!(
-        cluster
-            .sim
-            .metrics()
-            .counter("replica.state_transfers_completed")
-            > 0,
+        cluster.sim.health().total(Counter::StateTransfers) > 0,
         "state transfer should have run"
     );
 }
@@ -402,7 +456,7 @@ fn deterministic_across_runs() {
         cluster.run_for(dur::secs(2));
         (
             cluster.completed_ops(),
-            cluster.sim.metrics().summary("client.latency").mean,
+            cluster.sim.latency().summary().mean,
             cluster.sim.events_processed(),
         )
     };
@@ -420,7 +474,7 @@ fn tentative_execution_reduces_latency() {
         let mut cluster = counter_cluster(seed, cfg);
         cluster.add_client(LoopDriver::adds(50));
         cluster.run_for(dur::secs(5));
-        cluster.sim.metrics().summary("client.latency").mean
+        cluster.sim.latency().summary().mean
     };
     let l_with = latency(with, 18);
     let l_without = latency(without, 18);
@@ -442,7 +496,7 @@ fn read_only_optimization_reduces_latency() {
             Box::new(|_| (CounterService::get_op(), true)),
         ));
         cluster.run_for(dur::secs(5));
-        cluster.sim.metrics().summary("client.latency").mean
+        cluster.sim.latency().summary().mean
     };
     let l_on = latency(ro_on, 19);
     let l_off = latency(ro_off, 19);

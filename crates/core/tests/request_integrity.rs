@@ -13,7 +13,8 @@ use bft_core::messages::{
 use bft_core::prelude::*;
 use bft_core::wire::Wire;
 use bft_crypto::{Digest, KeyChain};
-use bft_sim::NodeId;
+use bft_sim::health::{tag_name, TAG_COUNT};
+use bft_sim::{Counter, NodeId};
 
 const N: u32 = 4;
 
@@ -87,8 +88,16 @@ fn sealed_pre_prepare(entries: Vec<BatchEntry>, batch_digest: Digest) -> Packet 
     }
 }
 
-fn counter(c: &Cluster, name: &str) -> u64 {
-    c.sim.metrics().counter(name)
+fn counter(c: &Cluster, counter: Counter) -> u64 {
+    c.sim.health().total(counter)
+}
+
+/// Prepares received across the cluster.
+fn prepares_received(c: &Cluster) -> u64 {
+    let tag = (0..TAG_COUNT as u8)
+        .find(|&t| tag_name(t) == "prepare")
+        .expect("prepare has a wire tag");
+    c.sim.health().received_by_tag()[usize::from(tag)]
 }
 
 fn executed(c: &Cluster, replica: u32) -> u64 {
@@ -101,14 +110,14 @@ fn request_with_op_changed_after_authentication_is_rejected() {
     let req = tampered(authentic(client, CounterService::add_op(1)));
     multicast_request(&mut c, req);
     c.run_for(dur::millis(50));
-    assert_eq!(counter(&c, "replica.bad_request_auth"), u64::from(N));
+    assert_eq!(counter(&c, Counter::BadRequestAuth), u64::from(N));
     assert_eq!(executed(&c, 0), 0);
 
     let (mut c, client) = cluster();
     let req = authentic(client, CounterService::add_op(1));
     multicast_request(&mut c, req);
     c.run_for(dur::millis(50));
-    assert_eq!(counter(&c, "replica.bad_request_auth"), 0);
+    assert_eq!(counter(&c, Counter::BadRequestAuth), 0);
     assert_eq!(executed(&c, 0), 1, "the untampered request executes");
 }
 
@@ -124,10 +133,10 @@ fn inlined_request_with_op_changed_after_authentication_is_rejected() {
     let d = batch_digest(&entries);
     inject(&mut c, 1, 0, sealed_pre_prepare(entries, d));
     c.run_for(dur::millis(5));
-    assert_eq!(counter(&c, "replica.bad_packet_auth"), 0);
-    assert_eq!(counter(&c, "replica.bad_batch_digest"), 0);
-    assert_eq!(counter(&c, "replica.bad_request_auth"), 1);
-    assert_eq!(counter(&c, "msg.prepare"), 0);
+    assert_eq!(counter(&c, Counter::BadPacketAuth), 0);
+    assert_eq!(counter(&c, Counter::BadBatchDigest), 0);
+    assert_eq!(counter(&c, Counter::BadRequestAuth), 1);
+    assert_eq!(prepares_received(&c), 0);
 
     let (mut c, client) = cluster();
     let entries = vec![BatchEntry::Full(authentic(
@@ -137,9 +146,9 @@ fn inlined_request_with_op_changed_after_authentication_is_rejected() {
     let d = batch_digest(&entries);
     inject(&mut c, 1, 0, sealed_pre_prepare(entries, d));
     c.run_for(dur::millis(5));
-    assert_eq!(counter(&c, "replica.bad_request_auth"), 0);
+    assert_eq!(counter(&c, Counter::BadRequestAuth), 0);
     assert_eq!(
-        counter(&c, "msg.prepare"),
+        prepares_received(&c),
         u64::from(N - 1),
         "the backup prepares"
     );
@@ -159,7 +168,7 @@ fn pre_prepare_whose_batch_digest_does_not_match_its_entries_is_rejected() {
         sealed_pre_prepare(vec![BatchEntry::Full(tampered(req))], d),
     );
     c.run_for(dur::millis(5));
-    assert_eq!(counter(&c, "replica.bad_packet_auth"), 0);
-    assert_eq!(counter(&c, "replica.bad_batch_digest"), 1);
-    assert_eq!(counter(&c, "msg.prepare"), 0);
+    assert_eq!(counter(&c, Counter::BadPacketAuth), 0);
+    assert_eq!(counter(&c, Counter::BadBatchDigest), 1);
+    assert_eq!(prepares_received(&c), 0);
 }

@@ -130,7 +130,7 @@ fn breakdown_matches_measured_latency() {
     let (cluster, _) = run_traced(0x7ace);
     let paths = assemble(cluster.sim.trace());
     let b = breakdown(&paths);
-    let measured = cluster.sim.metrics().summary("client.latency").mean;
+    let measured = cluster.sim.latency().summary().mean;
     let assembled = b.e2e_mean_ns();
     let err = (assembled - measured).abs() / measured;
     assert!(

@@ -15,7 +15,7 @@
 use bft_core::fuzz::{fastpath_fuzz_config, ChaosDriver, Workload};
 use bft_core::prelude::*;
 use bft_sim::chaos::{Fault, FaultEvent, NodeFault};
-use bft_sim::dur;
+use bft_sim::{dur, Counter};
 
 /// A fast-committed-but-not-classically-committed slot must survive a
 /// primary crash and re-election with the same request.
@@ -54,17 +54,17 @@ fn fast_committed_slot_survives_primary_crash() {
         .expect("no invariant may break");
     checker.finish().expect("linearizability must hold");
     assert_eq!(cluster.completed_ops(), 600, "progress must resume");
-    let metrics = cluster.sim.metrics();
+    let health = cluster.sim.health();
     assert!(
-        metrics.counter("replica.fast_commits") > 0,
+        health.total(Counter::FastCommits) > 0,
         "the fault-free prefix must have fast-committed slots"
     );
     assert!(
-        metrics.counter("replica.view_changes_started") > 0,
+        health.total(Counter::ViewChanges) > 0,
         "the backups must have run a view change"
     );
     assert!(
-        metrics.counter("replica.fast_fallbacks") > 0,
+        health.total(Counter::FastFallbacks) > 0,
         "post-crash slots (n - 1 voters) must fall back to the classic path"
     );
     // The survivors converge on one stable checkpoint root covering the
@@ -130,15 +130,11 @@ fn fast_path_survives_cascaded_view_changes() {
     checker.finish().expect("linearizability must hold");
     assert_eq!(cluster.completed_ops(), 1_200, "progress must resume");
     assert!(
-        cluster
-            .sim
-            .metrics()
-            .counter("replica.view_changes_started")
-            > 0,
+        cluster.sim.health().total(Counter::ViewChanges) > 0,
         "the crashes must have forced view changes"
     );
     assert!(
-        cluster.sim.metrics().counter("replica.fast_commits") > 0,
+        cluster.sim.health().total(Counter::FastCommits) > 0,
         "fast commits must happen around the crash windows"
     );
 }

@@ -6,6 +6,7 @@ use bft_core::prelude::*;
 use bft_core::wire::Wire;
 use bft_fs::ops::{NfsOp, ROOT_FH};
 use bft_fs::service::FsService;
+use bft_sim::Counter;
 
 /// Submits a fixed script of encoded NFS operations, one at a time.
 struct ScriptDriver {
@@ -93,18 +94,18 @@ fn lagging_replica_recovers_via_partial_state_transfer() {
         "replica 3 must converge to the group's state"
     );
 
-    let metrics = cluster.sim.metrics();
+    let health = cluster.sim.health();
     assert!(
-        metrics.counter("replica.state_transfers_completed") > 0,
+        health.total(Counter::StateTransfers) > 0,
         "state transfer should have run"
     );
     // Only a handful of partitions changed while replica 3 was cut off
     // (the written file, the metadata partition, the reply cache); the
     // other partitions of the 40-file tree must be skipped, and the
     // bytes on the wire must undercut a full snapshot.
-    let skipped = metrics.counter("replica.state_parts_skipped");
+    let skipped = health.total(Counter::StatePartsSkipped);
     assert!(skipped > 50, "only {skipped} partitions were skipped");
-    let fetched = metrics.counter("replica.state_bytes_fetched");
+    let fetched = health.total(Counter::StateTransferBytes);
     let full = cluster.replica::<FsService>(0).service().snapshot().len() as u64;
     assert!(fetched > 0, "some partitions must still be transferred");
     assert!(

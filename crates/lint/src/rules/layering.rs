@@ -5,7 +5,7 @@
 //! transport) requires the replica/client protocol logic to depend on
 //! an abstract host interface, not the simulator. Today that interface
 //! is, de facto, the `Context` surface plus the observer vocabulary
-//! (trace/health/metrics *types*, not their engines). This rule makes
+//! (trace/health *types*, not their engines). This rule makes
 //! the boundary explicit: protocol modules may reference the allowlist
 //! below — everything a future `Host` trait would have to provide —
 //! and nothing else from `bft_sim`. Engine, network, chaos, and
@@ -36,7 +36,6 @@ const ALLOWED_ITEMS: &[&str] = &[
     "TraceMeta",
     "TracePhase",
     "Counter",
-    "Metrics",
     "HealthSnapshot",
     "Role",
     "dur",

@@ -12,7 +12,7 @@
 //! its inputs.
 
 use crate::health::{Counter, Counters};
-use crate::metrics::Metrics;
+use crate::metrics::Histogram;
 use crate::network::{NetConfig, Network, NodeId};
 use crate::time::SimTime;
 use crate::trace::{CostKind, SpanEdge, TraceEvent, TraceMeta, TracePhase, TraceSink};
@@ -101,13 +101,16 @@ struct Kernel<M> {
     cpu_queue_limit: Vec<u64>,
     net: Network,
     rng: StdRng,
-    metrics: Metrics,
     trace: TraceSink,
     health: Counters,
+    /// Cluster-wide client-latency samples.
+    latency: Histogram,
     cancelled: HashSet<u64>,
     next_timer: u64,
     stopped: bool,
     events_processed: u64,
+    /// Deliveries dropped at a full CPU input queue.
+    cpu_dropped: u64,
 }
 
 impl<M> Kernel<M> {
@@ -141,7 +144,6 @@ impl<M> Kernel<M> {
         M: Clone,
     {
         if let Some(at2) = self.net.maybe_duplicate(slot, src, dst, &mut self.rng) {
-            self.metrics.incr("net.duplicated");
             self.push(
                 at2,
                 dst,
@@ -195,7 +197,7 @@ impl<M> Context<'_, M> {
     }
 
     /// Sends `msg` (`payload_bytes` on the wire) to `dst`. Dropped packets
-    /// are counted in the metrics under `net.dropped`.
+    /// are counted in the network's [`NetStats`](crate::NetStats).
     pub fn send(&mut self, dst: NodeId, msg: M, payload_bytes: usize)
     where
         M: Clone,
@@ -216,19 +218,13 @@ impl<M> Context<'_, M> {
             return;
         }
         let slot = self.kernel.net.transmit(depart, self.id, payload_bytes);
-        match self
+        if let Ok(at) = self
             .kernel
             .net
             .receive(slot, self.id, dst, &mut self.kernel.rng)
         {
-            Ok(at) => {
-                self.kernel
-                    .deliver_with_duplicates(slot, self.id, dst, at, msg, payload_bytes);
-            }
-            Err(_) => {
-                self.kernel.metrics.incr("net.dropped");
-                self.kernel.metrics.incr(format!("net.dropped.dst{dst}"));
-            }
+            self.kernel
+                .deliver_with_duplicates(slot, self.id, dst, at, msg, payload_bytes);
         }
     }
 
@@ -254,25 +250,19 @@ impl<M> Context<'_, M> {
                 );
                 continue;
             }
-            match self
+            if let Ok(at) = self
                 .kernel
                 .net
                 .receive(slot, self.id, dst, &mut self.kernel.rng)
             {
-                Ok(at) => {
-                    self.kernel.deliver_with_duplicates(
-                        slot,
-                        self.id,
-                        dst,
-                        at,
-                        msg.clone(),
-                        payload_bytes,
-                    );
-                }
-                Err(_) => {
-                    self.kernel.metrics.incr("net.dropped");
-                    self.kernel.metrics.incr(format!("net.dropped.dst{dst}"));
-                }
+                self.kernel.deliver_with_duplicates(
+                    slot,
+                    self.id,
+                    dst,
+                    at,
+                    msg.clone(),
+                    payload_bytes,
+                );
             }
         }
     }
@@ -299,9 +289,10 @@ impl<M> Context<'_, M> {
         &mut self.kernel.rng
     }
 
-    /// The shared metrics registry.
-    pub fn metrics(&mut self) -> &mut Metrics {
-        &mut self.kernel.metrics
+    /// Records one completed client operation's latency in the
+    /// cluster-wide latency histogram.
+    pub fn record_latency(&mut self, ns: u64) {
+        self.kernel.latency.record(ns);
     }
 
     /// Records one logical send of a message with wire tag `tag` in the
@@ -417,13 +408,14 @@ impl<M: 'static> Simulation<M> {
                 cpu_queue_limit: Vec::new(),
                 net: Network::new(net),
                 rng: StdRng::seed_from_u64(seed),
-                metrics: Metrics::new(),
                 trace: TraceSink::new(),
                 health: Counters::new(),
+                latency: Histogram::new(),
                 cancelled: HashSet::new(),
                 next_timer: 0,
                 stopped: false,
                 events_processed: 0,
+                cpu_dropped: 0,
             },
         }
     }
@@ -450,15 +442,17 @@ impl<M: 'static> Simulation<M> {
         self.kernel.now
     }
 
-    /// Shared metrics.
-    pub fn metrics(&self) -> &Metrics {
-        &self.kernel.metrics
+    /// The cluster-wide client-latency histogram (one sample per
+    /// completed operation, recorded via [`Context::record_latency`]).
+    pub fn latency(&self) -> &Histogram {
+        &self.kernel.latency
     }
 
-    /// Mutable access to the metrics (e.g. to reset between warmup and
-    /// measurement phases).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.kernel.metrics
+    /// Empties the latency histogram — the measurement-window boundary.
+    /// Counters are never cleared here; windowed counter reads take a
+    /// before/after delta of [`Simulation::health`] instead.
+    pub fn clear_latency(&mut self) {
+        self.kernel.latency = Histogram::new();
     }
 
     /// The trace sink (events and CPU-cost attribution).
@@ -498,6 +492,13 @@ impl<M: 'static> Simulation<M> {
         self.kernel.events_processed
     }
 
+    /// Deliveries dropped so far because they would have waited longer
+    /// than their node's CPU queue limit
+    /// ([`Simulation::set_cpu_queue_limit`]).
+    pub fn cpu_dropped(&self) -> u64 {
+        self.kernel.cpu_dropped
+    }
+
     /// The time of the earliest queued event, if any. Cancelled timers may
     /// still appear here (they are skipped when stepped over), so the next
     /// [`Simulation::step`] may process a later event — but never an
@@ -515,8 +516,8 @@ impl<M: 'static> Simulation<M> {
 
     /// Bounds how long deliveries to `node` may queue behind its busy CPU
     /// before being dropped — a finite UDP socket buffer, expressed in
-    /// time. Default: unlimited. Dropped deliveries count under the
-    /// `cpu.dropped` metric; timers are never dropped.
+    /// time. Default: unlimited. Dropped deliveries count in
+    /// [`Simulation::cpu_dropped`]; timers are never dropped.
     pub fn set_cpu_queue_limit(&mut self, node: NodeId, limit_ns: u64) {
         self.kernel.cpu_queue_limit[node as usize] = limit_ns;
     }
@@ -585,7 +586,7 @@ impl<M: 'static> Simulation<M> {
                 if wait > self.kernel.cpu_queue_limit[ev.dst as usize]
                     && matches!(ev.kind, EventKind::Deliver { .. })
                 {
-                    self.kernel.metrics.incr("cpu.dropped");
+                    self.kernel.cpu_dropped += 1;
                     continue;
                 }
                 self.kernel.push_born(busy_until, ev.born, ev.dst, ev.kind);
@@ -882,6 +883,32 @@ mod tests {
     }
 
     #[test]
+    fn latency_histogram_records_and_clears() {
+        struct Recorder;
+        impl Node<u32> for Recorder {
+            fn on_message(&mut self, ctx: &mut Context<'_, u32>, _: NodeId, msg: u32, _: usize) {
+                ctx.record_latency(u64::from(msg));
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let mut s = sim();
+        let a = s.add_node(Box::new(Recorder));
+        for v in [10, 20, 30] {
+            s.inject(a, 99, v, 8);
+        }
+        s.run_until_idle(100);
+        assert_eq!(s.latency().count(), 3);
+        assert_eq!(s.latency().summary().p50, 20);
+        s.clear_latency();
+        assert_eq!(s.latency().summary(), crate::Summary::default());
+    }
+
+    #[test]
     fn cpu_queue_limit_drops_backlogged_deliveries() {
         let mut s = sim();
         let a = s.add_node(Box::new(Probe {
@@ -897,7 +924,7 @@ mod tests {
         s.run_until_idle(1_000);
         let delivered = s.node_as::<Probe>(a).messages.len();
         assert!(delivered < 6, "some deliveries must drop");
-        assert_eq!(s.metrics().counter("cpu.dropped"), 6 - delivered as u64);
+        assert_eq!(s.cpu_dropped(), 6 - delivered as u64);
         // Timers are never dropped.
         let b = s.add_node(Box::new(Probe {
             cpu_per_event: dur::millis(10),
@@ -932,6 +959,6 @@ mod tests {
         s.network_mut().partition(c, b);
         s.run_until_idle(100);
         assert!(s.node_as::<Probe>(b).messages.is_empty());
-        assert_eq!(s.metrics().counter("net.dropped"), 1);
+        assert_eq!(s.network().stats.dropped, 1);
     }
 }

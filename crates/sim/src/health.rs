@@ -10,13 +10,16 @@
 //!
 //! Two halves:
 //!
-//! - [`Counters`]: a per-node registry of messages sent/received by
-//!   wire tag plus a fixed set of protocol event counters
-//!   ([`Counter`]) — retransmissions, fast-path fallbacks, lease
-//!   grants/revokes, view changes, recoveries, state-transfer bytes.
+//! - [`Counters`]: the simulation's one counter registry — per node,
+//!   messages sent/received by wire tag plus a fixed set of event
+//!   counters ([`Counter`]): completed ops, retransmissions, fast-path
+//!   fallbacks, lease grants/revokes, view changes, recoveries,
+//!   state-transfer bytes, and every rejected Byzantine input by kind.
 //!   It lives in the simulation kernel beside the trace sink and is
 //!   bumped from the hot paths via `Context::count_*`, so it is exact
 //!   (never sampled) and deterministic (a pure function of the run).
+//!   Totals are cumulative; a reader that wants a measurement window
+//!   takes a before/after delta.
 //! - [`HealthSnapshot`] / [`HealthReport`]: a point-in-time, typed
 //!   view of one replica's externally observable state (view, role,
 //!   execution/checkpoint watermarks, queue depths, lease and
@@ -68,11 +71,15 @@ pub fn tag_name(tag: u8) -> &'static str {
     }
 }
 
-/// Protocol event counters tracked per node in [`Counters`].
+/// Protocol event counters tracked per node in [`Counters`] — the
+/// simulation's only counter registry.
 ///
-/// These are the features PRs 5–7 added, consolidated: each variant is
-/// bumped at exactly the site that emits the matching metric/trace
-/// event, so cross-checks against assembled traces are exact.
+/// Each event is counted exactly once, at the site that decides it
+/// (and, where one exists, emits the matching trace event), so
+/// cross-checks against assembled traces are exact. Besides the
+/// protocol's progress events the registry records every rejected
+/// Byzantine input by kind. Variants are fieldless and declared in
+/// [`Counter::ALL`] order, which makes `self as usize` the array index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Counter {
     /// Client request retransmissions (retry timer fired and re-sent).
@@ -111,11 +118,51 @@ pub enum Counter {
     BusySent,
     /// Client operations whose bounded retry budget ran out.
     RetryBudgetExhausted,
+    /// Client operations completed (a reply quorum matched).
+    OpsCompleted,
+    /// Read-only requests executed without ordering.
+    ReadOnlyExecs,
+    /// Checkpoints taken (state digested at a checkpoint boundary).
+    CheckpointsMade,
+    /// Simulated nanoseconds spent digesting checkpoint state.
+    CheckpointDigestNs,
+    /// Packets whose authenticator failed verification.
+    BadPacketAuth,
+    /// Requests whose client authenticator failed verification.
+    BadRequestAuth,
+    /// Pre-prepares whose batch digest does not match their entries.
+    BadBatchDigest,
+    /// New-view messages that failed validation.
+    BadNewView,
+    /// Messages claiming a sender other than the authenticated one.
+    SpoofedSender,
+    /// Pre-prepares conflicting with an accepted one at the same slot.
+    ConflictingPrePrepare,
+    /// State-transfer metadata that failed verification.
+    StateTransferBadMeta,
+    /// State-transfer snapshots that failed verification.
+    StateTransferBadSnapshot,
+    /// Partitions a state transfer skipped because they already match.
+    StatePartsSkipped,
+    /// Session-key refreshes.
+    KeyRefreshes,
+    /// Proactive recoveries started.
+    ProactiveRecoveries,
+    /// Recovery audits that found a corrupt partition and re-fetched it.
+    RecoveryAuditRefetch,
+    /// Read-only requests dropped by a recovering replica.
+    RoDroppedInRecovery,
+    /// Fast-path slot timers that fired before the fast quorum formed.
+    FastTimeouts,
+    /// Replies whose MAC failed verification at the client.
+    BadReplyAuth,
+    /// BUSY pushbacks whose MAC failed verification at the client.
+    BadBusyAuth,
 }
 
 impl Counter {
     /// Number of variants (sizes the per-node array).
-    pub const COUNT: usize = 18;
+    pub const COUNT: usize = 38;
 
     /// All variants in index order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -137,6 +184,26 @@ impl Counter {
         Counter::RequestsShed,
         Counter::BusySent,
         Counter::RetryBudgetExhausted,
+        Counter::OpsCompleted,
+        Counter::ReadOnlyExecs,
+        Counter::CheckpointsMade,
+        Counter::CheckpointDigestNs,
+        Counter::BadPacketAuth,
+        Counter::BadRequestAuth,
+        Counter::BadBatchDigest,
+        Counter::BadNewView,
+        Counter::SpoofedSender,
+        Counter::ConflictingPrePrepare,
+        Counter::StateTransferBadMeta,
+        Counter::StateTransferBadSnapshot,
+        Counter::StatePartsSkipped,
+        Counter::KeyRefreshes,
+        Counter::ProactiveRecoveries,
+        Counter::RecoveryAuditRefetch,
+        Counter::RoDroppedInRecovery,
+        Counter::FastTimeouts,
+        Counter::BadReplyAuth,
+        Counter::BadBusyAuth,
     ];
 
     /// Stable snake_case name (used as a JSON key in `BENCH_*.json`).
@@ -160,14 +227,33 @@ impl Counter {
             Counter::RequestsShed => "requests_shed",
             Counter::BusySent => "busy_sent",
             Counter::RetryBudgetExhausted => "retry_budget_exhausted",
+            Counter::OpsCompleted => "ops_completed",
+            Counter::ReadOnlyExecs => "read_only_execs",
+            Counter::CheckpointsMade => "checkpoints_made",
+            Counter::CheckpointDigestNs => "checkpoint_digest_ns",
+            Counter::BadPacketAuth => "bad_packet_auth",
+            Counter::BadRequestAuth => "bad_request_auth",
+            Counter::BadBatchDigest => "bad_batch_digest",
+            Counter::BadNewView => "bad_new_view",
+            Counter::SpoofedSender => "spoofed_sender",
+            Counter::ConflictingPrePrepare => "conflicting_pre_prepare",
+            Counter::StateTransferBadMeta => "state_transfer_bad_meta",
+            Counter::StateTransferBadSnapshot => "state_transfer_bad_snapshot",
+            Counter::StatePartsSkipped => "state_parts_skipped",
+            Counter::KeyRefreshes => "key_refreshes",
+            Counter::ProactiveRecoveries => "proactive_recoveries",
+            Counter::RecoveryAuditRefetch => "recovery_audit_refetch",
+            Counter::RoDroppedInRecovery => "ro_dropped_in_recovery",
+            Counter::FastTimeouts => "fast_timeouts",
+            Counter::BadReplyAuth => "bad_reply_auth",
+            Counter::BadBusyAuth => "bad_busy_auth",
         }
     }
 
+    /// Position in [`Counter::ALL`]: the enum is fieldless and declared
+    /// in `ALL` order, so the discriminant is the index.
     fn index(self) -> usize {
-        Counter::ALL
-            .iter()
-            .position(|&c| c == self)
-            .expect("Counter::ALL covers every variant")
+        self as usize
     }
 }
 
@@ -391,9 +477,11 @@ pub struct HealthSnapshot {
     pub lease_expiry_ns: u64,
     /// Fast-path commit enabled in this replica's config.
     pub fast_path: bool,
-    /// Requests shed by admission control since startup.
+    /// Requests shed by admission control since startup
+    /// ([`Counter::RequestsShed`] for this node).
     pub requests_shed: u64,
-    /// BUSY pushback messages sent since startup.
+    /// BUSY pushback messages sent since startup
+    /// ([`Counter::BusySent`] for this node).
     pub busy_sent: u64,
     /// Peak depth the ingest backlog (pending batch + pending
     /// requests) ever reached — the high-watermark admission control
@@ -609,6 +697,17 @@ mod tests {
         assert_eq!(s.status(), "state-transfer");
         s.recovering = true;
         assert_eq!(s.status(), "recovering");
+    }
+
+    #[test]
+    fn counter_index_is_its_position_and_names_are_unique() {
+        for (i, &c) in Counter::ALL.iter().enumerate() {
+            assert_eq!(c as usize, i, "{c:?} declared out of ALL order");
+            assert_eq!(c.index(), i);
+        }
+        let names: std::collections::BTreeSet<&str> =
+            Counter::ALL.iter().map(|c| c.name()).collect();
+        assert_eq!(names.len(), Counter::COUNT, "duplicate counter name");
     }
 
     #[test]

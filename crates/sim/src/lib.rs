@@ -18,12 +18,13 @@
 //!   mutations — with a generator and a shrinking minimizer for fuzzing;
 //! - [`cost`]: the CPU cost model (MD5, UMAC, UDP stack, RSA) calibrated
 //!   to the paper's hardware;
-//! - [`metrics`]: counters and log-bucketed latency histograms the
-//!   experiment harness reads;
+//! - [`metrics`]: log-bucketed [`Histogram`]s — the kernel's
+//!   cluster-wide client-latency series the experiment harness reads;
 //! - [`health`]: observer-only cluster health — per-replica
 //!   [`HealthSnapshot`]s diffed into a [`HealthReport`], and the
-//!   always-on [`Counters`] registry (messages by wire tag, protocol
-//!   events) threaded through [`Context`];
+//!   [`Counters`] registry (messages by wire tag, protocol events,
+//!   rejected Byzantine inputs) threaded through [`Context`]: the one
+//!   place every event is counted;
 //! - [`trace`]: structured span tracing — bounded per-node event rings,
 //!   a per-request latency-breakdown assembler, a Chrome-trace exporter,
 //!   and the chaos flight recorder;
@@ -47,7 +48,7 @@ pub use chaos::{
 pub use cost::CostModel;
 pub use engine::{Context, Node, Simulation, TimerId};
 pub use health::{Counter, Counters, HealthReport, HealthSnapshot, NodeCounters, Role};
-pub use metrics::{Histogram, Metrics, Summary};
+pub use metrics::{Histogram, Summary};
 pub use network::{DropReason, NetConfig, NetStats, Network, NodeId};
 pub use time::{dur, SimTime};
 pub use trace::{CostKind, SpanEdge, TraceEvent, TraceMeta, TracePhase, TraceSink};

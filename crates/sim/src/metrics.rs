@@ -1,81 +1,16 @@
-//! Measurement plumbing: counters and log-bucketed latency histograms.
+//! Measurement plumbing: log-bucketed latency histograms and their
+//! summary statistics.
 //!
-//! Experiment drivers read these after a run to produce the paper's tables.
-//! Everything is keyed by string series names so protocol code can record
-//! without the harness pre-registering anything. Hot paths pass `&'static
-//! str` names, which are stored as borrowed [`Cow`]s — recording into an
-//! existing (or even a fresh) series never allocates a key.
+//! Counters live in the typed [`crate::health::Counters`] registry; this
+//! module only holds the sample side. The simulation kernel keeps one
+//! cluster-wide client-latency [`Histogram`] (recorded through
+//! `Context::record_latency`, read through `Simulation::latency`), and
+//! drivers that need a private series own a histogram of their own.
 //!
 //! Sample series are [`Histogram`]s rather than raw `Vec<u64>` so that
 //! multi-hour fuzz sweeps and million-op benchmark runs stay bounded in
 //! memory: a histogram is at most ~8 KB regardless of how many samples it
 //! absorbs, at the price of ~3% relative error above 64.
-
-use std::borrow::Cow;
-use std::collections::HashMap;
-
-/// A set of named counters and sample histograms.
-#[derive(Debug, Default, Clone)]
-pub struct Metrics {
-    counters: HashMap<Cow<'static, str>, u64>,
-    samples: HashMap<Cow<'static, str>, Histogram>,
-}
-
-impl Metrics {
-    /// Creates an empty metrics registry.
-    pub fn new() -> Metrics {
-        Metrics::default()
-    }
-
-    /// Adds `delta` to the counter `name`.
-    pub fn add(&mut self, name: impl Into<Cow<'static, str>>, delta: u64) {
-        *self.counters.entry(name.into()).or_insert(0) += delta;
-    }
-
-    /// Increments the counter `name` by one.
-    pub fn incr(&mut self, name: impl Into<Cow<'static, str>>) {
-        self.add(name, 1);
-    }
-
-    /// Reads a counter (zero if never written).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Records a sample (e.g. a latency in nanoseconds) into series `name`.
-    pub fn record(&mut self, name: impl Into<Cow<'static, str>>, value: u64) {
-        self.samples.entry(name.into()).or_default().record(value);
-    }
-
-    /// The histogram behind series `name`, if any sample was recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.samples.get(name)
-    }
-
-    /// Summary statistics over a series (zeroed if never written).
-    pub fn summary(&self, name: &str) -> Summary {
-        self.samples
-            .get(name)
-            .map_or_else(Summary::default, Histogram::summary)
-    }
-
-    /// Removes all data, keeping allocations where possible.
-    pub fn reset(&mut self) {
-        self.counters.clear();
-        self.samples.clear();
-    }
-
-    /// Iterates over counters in name order (stable output for reports).
-    pub fn counters_sorted(&self) -> Vec<(&str, u64)> {
-        let mut all: Vec<_> = self
-            .counters
-            .iter()
-            .map(|(k, v)| (k.as_ref(), *v))
-            .collect();
-        all.sort();
-        all
-    }
-}
 
 /// Sub-bucket precision: values ≥ [`LINEAR_BUCKETS`] land in one of
 /// `2^SUB_BITS` sub-buckets per power of two, bounding relative error to
@@ -155,6 +90,18 @@ impl Histogram {
         self.sum += value as u128;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
+    }
+
+    /// Folds `other`'s samples into this histogram; the result is the
+    /// same as if every sample had been recorded here.
+    pub fn merge(&mut self, other: &Histogram) {
+        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
+            *c += o;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
     }
 
     /// Number of samples recorded.
@@ -275,21 +222,12 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn counters() {
-        let mut m = Metrics::new();
-        m.incr("ops");
-        m.add("ops", 4);
-        assert_eq!(m.counter("ops"), 5);
-        assert_eq!(m.counter("missing"), 0);
-    }
-
-    #[test]
-    fn series_and_summary() {
-        let mut m = Metrics::new();
+    fn histogram_summary() {
+        let mut h = Histogram::new();
         for v in [10u64, 20, 30, 40, 50] {
-            m.record("latency", v);
+            h.record(v);
         }
-        let s = m.summary("latency");
+        let s = h.summary();
         assert_eq!(s.count, 5);
         assert_eq!(s.min, 10);
         assert_eq!(s.max, 50);
@@ -299,28 +237,25 @@ mod tests {
 
     #[test]
     fn empty_summary_is_zeroed() {
-        let m = Metrics::new();
-        assert_eq!(m.summary("none"), Summary::default());
-        assert!(m.histogram("none").is_none());
+        assert_eq!(Histogram::new().summary(), Summary::default());
     }
 
     #[test]
-    fn reset_clears() {
-        let mut m = Metrics::new();
-        m.incr("a");
-        m.record("b", 1);
-        m.reset();
-        assert_eq!(m.counter("a"), 0);
-        assert!(m.histogram("b").is_none());
-    }
-
-    #[test]
-    fn counters_sorted_is_stable() {
-        let mut m = Metrics::new();
-        m.incr("zeta");
-        m.incr("alpha");
-        let names: Vec<&str> = m.counters_sorted().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, vec!["alpha", "zeta"]);
+    fn merge_equals_recording_everything_in_one() {
+        let (mut a, mut b, mut all) = (Histogram::new(), Histogram::new(), Histogram::new());
+        for v in [5u64, 70, 1_000, 123_456] {
+            a.record(v);
+            all.record(v);
+        }
+        for v in [1u64, 64, 99_999] {
+            b.record(v);
+            all.record(v);
+        }
+        a.merge(&b);
+        assert_eq!(a.summary(), all.summary());
+        // Merging an empty histogram changes nothing, min included.
+        a.merge(&Histogram::new());
+        assert_eq!(a.summary(), all.summary());
     }
 
     #[test]
@@ -361,19 +296,6 @@ mod tests {
             let err = (est as f64 - exact as f64).abs() / exact as f64;
             assert!(err < 0.04, "p{p}: est {est} vs exact {exact} (err {err})");
         }
-    }
-
-    #[test]
-    fn histogram_matches_metrics_summary() {
-        let mut m = Metrics::new();
-        for v in [5u64, 5, 7, 100, 1000] {
-            m.record("x", v);
-        }
-        let s = m.summary("x");
-        assert_eq!(s.count, 5);
-        assert_eq!(s.min, 5);
-        assert_eq!(s.max, 1000);
-        assert_eq!(s.p50, 7);
     }
 
     proptest! {

@@ -9,7 +9,7 @@
 //! cost model).
 
 use bft_core::service::Service;
-use bft_sim::{Context, Node, NodeId, SimTime};
+use bft_sim::{Context, Counter, Node, NodeId, SimTime};
 use std::any::Any;
 
 /// A plain request/response datagram.
@@ -159,11 +159,6 @@ impl DirectApi<'_, '_> {
     pub fn charge(&mut self, ns: u64) {
         self.ctx.charge(ns);
     }
-
-    /// Shared metrics.
-    pub fn metrics(&mut self) -> &mut bft_sim::Metrics {
-        self.ctx.metrics()
-    }
 }
 
 /// The unreplicated client: one outstanding request, no retransmission
@@ -234,8 +229,8 @@ impl<D: DirectDriver> Node<DirectMsg> for DirectClient<D> {
         self.core.pending = None;
         self.core.completed += 1;
         let latency = ctx.now().since(sent_at);
-        ctx.metrics().incr("client.ops_completed");
-        ctx.metrics().record("client.latency", latency);
+        ctx.count(Counter::OpsCompleted);
+        ctx.record_latency(latency);
         let mut api = DirectApi {
             core: &mut self.core,
             ctx,
@@ -320,7 +315,7 @@ mod tests {
             .node_as::<DirectServer<SimpleService>>(server)
             .ops_served();
         assert!(served > 10, "served {served}");
-        assert_eq!(sim.metrics().counter("client.ops_completed"), served);
+        assert_eq!(sim.health().total(Counter::OpsCompleted), served);
     }
 
     #[test]
@@ -329,7 +324,7 @@ mod tests {
         // serialization + latency + stack costs — well under a millisecond.
         let (mut sim, _) = setup(1, 8, 0);
         sim.run_for(dur::millis(50));
-        let s = sim.metrics().summary("client.latency");
+        let s = sim.latency().summary();
         assert!(s.count > 10);
         assert!(s.mean > 30_000.0, "mean {}", s.mean);
         assert!(s.mean < 500_000.0, "mean {}", s.mean);
@@ -339,7 +334,7 @@ mod tests {
     fn throughput_is_cpu_bound_for_null_ops() {
         let (mut sim, _) = setup(30, 8, 0);
         sim.run_for(dur::secs(1));
-        let ops = sim.metrics().counter("client.ops_completed");
+        let ops = sim.health().total(Counter::OpsCompleted);
         // Server CPU per op ≈ recv + send ≈ 20 µs → tens of thousands/s.
         assert!(ops > 20_000, "ops {ops}");
         assert!(ops < 80_000, "ops {ops}");
@@ -349,7 +344,7 @@ mod tests {
     fn big_replies_are_bandwidth_bound() {
         let (mut sim, _) = setup(30, 8, 4096);
         sim.run_for(dur::secs(1));
-        let ops = sim.metrics().counter("client.ops_completed");
+        let ops = sim.health().total(Counter::OpsCompleted);
         // The server's 12.5 MB/s transmit link caps ~3000 replies/s of
         // 4 KB — the bound the paper reports for NO-REP 0/4.
         assert!((2_000..3_400).contains(&ops), "ops {ops}");
@@ -360,10 +355,7 @@ mod tests {
         let (mut sim, server) = setup(60, 8, 0);
         sim.set_cpu_queue_limit(server, 300_000);
         sim.run_for(dur::secs(2));
-        assert!(
-            sim.metrics().counter("cpu.dropped") > 0,
-            "overload must drop requests"
-        );
+        assert!(sim.cpu_dropped() > 0, "overload must drop requests");
         // Dropped requests are never retransmitted: those clients stall
         // with their request outstanding forever.
         let stalled = (1..=60)
@@ -376,6 +368,6 @@ mod tests {
         // A server with an unbounded queue never drops or stalls anyone.
         let (mut healthy, _) = setup(60, 8, 0);
         healthy.run_for(dur::secs(2));
-        assert_eq!(healthy.metrics().counter("cpu.dropped"), 0);
+        assert_eq!(healthy.cpu_dropped(), 0);
     }
 }

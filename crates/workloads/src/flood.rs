@@ -54,7 +54,6 @@ impl FloodDriver {
         self.offered += 1;
         if api.busy() {
             self.skipped += 1;
-            api.metrics().incr("client.offers_skipped");
         } else {
             api.submit(self.op.clone(), self.read_only);
         }

@@ -46,10 +46,6 @@ impl BfsScriptDriver {
                 Drive::Done => {
                     if self.finished_at_ns.is_none() {
                         self.finished_at_ns = Some(api.now().nanos());
-                        let now = api.now().nanos();
-                        api.metrics().record("fs.script_done_ns", now);
-                        let marks = self.runner.marks;
-                        api.metrics().add("fs.marks", marks);
                     }
                     return;
                 }
@@ -103,10 +99,6 @@ impl DirectScriptDriver {
                 Drive::Done => {
                     if self.finished_at_ns.is_none() {
                         self.finished_at_ns = Some(api.now().nanos());
-                        let now = api.now().nanos();
-                        api.metrics().record("fs.script_done_ns", now);
-                        let marks = self.runner.marks;
-                        api.metrics().add("fs.marks", marks);
                     }
                     return;
                 }

@@ -13,7 +13,7 @@ use bft_fs::disk::ServerMode;
 use bft_fs::service::FsService;
 use bft_fs::state::DataMode;
 use bft_sim::time::dur;
-use bft_sim::{CostModel, NetConfig, Simulation, Summary};
+use bft_sim::{CostModel, Counter, NetConfig, Simulation, Summary};
 
 /// Default seed for experiments (results are deterministic anyway; the
 /// seed only feeds fault injection and workload mixes).
@@ -57,17 +57,17 @@ pub fn bft_latency(cfg: Config, shape: OpShape, samples: u64) -> Summary {
     cluster.add_client(
         MicroDriver::new(shape.arg, shape.result, shape.read_only).with_max_ops(samples + WARMUP),
     );
-    // Step one event at a time through the warmup operations, then reset
-    // the metrics so exactly the measured operations land in the latency
-    // histogram.
+    // Step one event at a time through the warmup operations, then clear
+    // the latency histogram so exactly the measured operations land in it.
     while cluster.completed_ops() < WARMUP && cluster.sim.step() {}
-    cluster.sim.metrics_mut().reset();
+    cluster.sim.clear_latency();
+    let base = cluster.completed_ops();
     let mut guard = 0;
-    while cluster.completed_ops() < samples && guard < 10_000 {
+    while cluster.completed_ops() - base < samples && guard < 10_000 {
         cluster.run_for(dur::millis(50));
         guard += 1;
     }
-    cluster.sim.metrics().summary("client.latency")
+    cluster.sim.latency().summary()
 }
 
 /// Measures NO-REP invocation latency with a single client.
@@ -85,15 +85,26 @@ pub fn norep_latency(shape: OpShape, samples: u64) -> Summary {
             result_bytes: shape.result,
         },
     )));
-    // Warmup, reset, measure — as in [`bft_latency`].
-    while sim.metrics().counter("client.ops_completed") < 10 && sim.step() {}
-    sim.metrics_mut().reset();
+    // Warmup, clear, measure — as in [`bft_latency`].
+    while completed(&sim) < 10 && sim.step() {}
+    sim.clear_latency();
+    let base = completed(&sim);
     let mut guard = 0;
-    while sim.metrics().counter("client.ops_completed") < samples && guard < 10_000 {
+    while completed(&sim) - base < samples && guard < 10_000 {
         sim.run_for(dur::millis(50));
         guard += 1;
     }
-    sim.metrics().summary("client.latency")
+    sim.latency().summary()
+}
+
+/// Client operations completed so far, cluster-wide.
+fn completed<M: 'static>(sim: &Simulation<M>) -> u64 {
+    sim.health().total(Counter::OpsCompleted)
+}
+
+/// Deliveries dropped so far, in the network or at a full socket buffer.
+fn dropped<M: 'static>(sim: &Simulation<M>) -> u64 {
+    sim.network().stats.dropped + sim.cpu_dropped()
 }
 
 /// Result of a throughput measurement.
@@ -136,11 +147,10 @@ pub fn bft_throughput_windowed(
         }
     }
     cluster.run_for(warmup_ns);
-    cluster.sim.metrics_mut().reset();
+    let (ops0, drops0) = (completed(&cluster.sim), dropped(&cluster.sim));
     cluster.run_for(window_ns);
-    let ops = cluster.sim.metrics().counter("client.ops_completed");
-    let drops =
-        cluster.sim.metrics().counter("net.dropped") + cluster.sim.metrics().counter("cpu.dropped");
+    let ops = completed(&cluster.sim) - ops0;
+    let drops = dropped(&cluster.sim) - drops0;
     Throughput {
         ops_per_sec: ops as f64 / (window_ns as f64 / 1e9),
         drops,
@@ -192,15 +202,13 @@ pub fn norep_throughput_windowed(
     // start together), and with no retransmission an initial overload is
     // permanent — matching the paper's missing data points.
     sim.run_for(warmup_ns);
-    let warmup_drops = sim.metrics().counter("net.dropped") + sim.metrics().counter("cpu.dropped");
-    sim.metrics_mut().reset();
+    let ops0 = completed(&sim);
     sim.run_for(window_ns);
-    let ops = sim.metrics().counter("client.ops_completed");
+    let ops = completed(&sim) - ops0;
     // NO-REP never retransmits, so a request lost at any point (including
     // ramp-up) permanently stalls its client — count drops over the whole
     // run, as the paper's missing data points do.
-    let drops =
-        warmup_drops + sim.metrics().counter("net.dropped") + sim.metrics().counter("cpu.dropped");
+    let drops = dropped(&sim);
     Throughput {
         ops_per_sec: ops as f64 / (window_ns as f64 / 1e9),
         drops,

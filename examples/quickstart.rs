@@ -49,7 +49,7 @@ fn main() {
     cluster.run_for(dur::secs(2));
 
     println!("\ncompleted operations : {}", cluster.completed_ops());
-    let lat = cluster.sim.metrics().summary("client.latency");
+    let lat = cluster.sim.latency().summary();
     println!("mean latency         : {} us", lat.mean as u64 / 1_000);
     println!(
         "messages on the wire : {}",

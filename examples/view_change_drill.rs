@@ -4,7 +4,7 @@
 //! Run with: `cargo run --example view_change_drill`
 
 use pbft::core::prelude::*;
-use pbft::sim::dur;
+use pbft::sim::{dur, Counter};
 
 struct Forever;
 
@@ -67,9 +67,6 @@ fn main() {
         "view change must have happened"
     );
     assert!(after > before + 100, "service must keep making progress");
-    let vc = cluster
-        .sim
-        .metrics()
-        .counter("replica.view_changes_started");
+    let vc = cluster.sim.health().total(Counter::ViewChanges);
     println!("view changes started: {vc}");
 }
