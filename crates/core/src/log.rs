@@ -1,7 +1,7 @@
 //! The replica message log: per-sequence-number slots accumulating
 //! pre-prepare/prepare/commit certificates within the water marks.
 
-use crate::messages::{BatchEntry, Request, NULL_DIGEST};
+use crate::messages::{batch_digest, batch_digest_of, BatchEntry, NULL_DIGEST};
 use crate::types::{Quorums, ReplicaId, SeqNum, View};
 use bft_crypto::md5::Digest;
 use std::collections::BTreeMap;
@@ -13,11 +13,12 @@ pub struct Slot {
     pub view: View,
     /// Batch digest from the accepted pre-prepare.
     pub digest: Option<Digest>,
-    /// Resolved request bodies (present once every `Ref` entry has been
-    /// matched with a multicast request body).
-    pub requests: Option<Vec<Request>>,
-    /// The raw batch entries as proposed (served to fetchers).
-    pub raw_entries: Option<Vec<BatchEntry>>,
+    /// The batch in proposal order, `Ref`s filled in place as bodies
+    /// arrive; kept across view changes. Invariant, enforced by writing
+    /// it only through [`Slot::set_batch`] and [`Slot::assign`]: while
+    /// `digest` is set, the batch hashes ([`batch_digest`]) to it (the
+    /// null digest's batch is empty).
+    pub batch: Option<Vec<BatchEntry>>,
     /// Prepares received, by sender, with the digest each vouched for.
     /// Ordered (BTreeMap) so certificate iteration order can never leak
     /// hasher randomness into protocol behaviour.
@@ -32,8 +33,6 @@ pub struct Slot {
     pub executed_tentative: bool,
     /// Whether the batch has been executed with a committed certificate.
     pub executed_final: bool,
-    /// True for null batches installed by a new view.
-    pub is_null: bool,
     /// Set when `f+1` peers asserted this batch committed (backfill); the
     /// committed predicate then holds without local certificates.
     pub force_committed: bool,
@@ -49,15 +48,62 @@ pub struct Slot {
     pub fast_committed: bool,
 }
 
+/// True if `entries` is a batch for digest `d`.
+fn hashes_to(entries: &[BatchEntry], d: Digest) -> bool {
+    if d == NULL_DIGEST {
+        entries.is_empty()
+    } else {
+        batch_digest(entries) == d
+    }
+}
+
 impl Slot {
     /// True once a pre-prepare (or new-view equivalent) is accepted.
     pub fn has_pre_prepare(&self) -> bool {
         self.digest.is_some()
     }
 
-    /// True once the request bodies needed for execution are available.
+    /// True for a null batch, or once every batch entry is a body.
     pub fn executable(&self) -> bool {
-        self.is_null || self.requests.is_some()
+        self.digest == Some(NULL_DIGEST)
+            || self
+                .batch
+                .as_deref()
+                .is_some_and(|b| b.iter().all(|e| matches!(e, BatchEntry::Full(_))))
+    }
+
+    /// The complete batch, if it hashes to `d` (recomputed only for a
+    /// batch kept across a view change, whose digest was cleared).
+    pub fn complete_batch_for(&self, d: Digest) -> Option<&[BatchEntry]> {
+        let b = self.batch.as_deref().filter(|_| self.executable())?;
+        let matches = self.digest.map_or_else(|| hashes_to(b, d), |own| own == d);
+        matches.then_some(b)
+    }
+
+    /// Accepts digest `d` for this slot in `view`. A batch kept from an
+    /// earlier view that does not hash to `d` is dropped, to be fetched
+    /// again: it is not the batch the certificate names.
+    pub fn assign(&mut self, view: View, d: Digest) {
+        self.view = view;
+        self.digest = Some(d);
+        if self.batch.as_deref().is_some_and(|b| !hashes_to(b, d)) {
+            self.batch = None;
+        }
+    }
+
+    /// Installs `entries`, whose request digests this replica computed
+    /// as `digests`; refused (returning false) unless they hash to the
+    /// slot's digest.
+    pub fn set_batch(&mut self, entries: Vec<BatchEntry>, digests: &[Digest]) -> bool {
+        let ok = match self.digest {
+            Some(NULL_DIGEST) => entries.is_empty(),
+            Some(d) => batch_digest_of(digests) == d,
+            None => false,
+        };
+        if ok {
+            self.batch = Some(entries);
+        }
+        ok
     }
 
     /// The *prepared* predicate: an accepted pre-prepare plus `2f`
@@ -195,6 +241,14 @@ impl Log {
         self.slots = self.slots.split_off(&(new_low + 1));
     }
 
+    /// Sequence numbers, in order, of slots holding a digest but not
+    /// yet every body of its batch.
+    pub fn awaiting_bodies(&self) -> impl Iterator<Item = SeqNum> + '_ {
+        self.iter()
+            .filter(|(_, slot)| slot.has_pre_prepare() && !slot.executable())
+            .map(|(seq, _)| seq)
+    }
+
     /// Summaries of prepared batches above the low water mark — the `P`
     /// set for a view-change message.
     pub fn prepared_infos(&self, q: &Quorums) -> Vec<crate::messages::PreparedInfo> {
@@ -251,7 +305,7 @@ impl Log {
             slot.fast_wait = false;
             slot.fast_fallback = false;
             slot.fast_committed = false;
-            // requests/raw_entries retained; executed_* retained.
+            // batch retained; executed_* retained.
         }
     }
 
@@ -278,24 +332,19 @@ impl Log {
     /// and legally re-order that sequence number), and a batch it merely
     /// *prepared* may be exactly the certificate protecting someone
     /// else's commit — PBFT's commit safety counts on every honest
-    /// preparer reporting it in the next view change. Batch bodies are
-    /// re-verified against the accepted digest (null batches carry
-    /// nothing to check); a mismatch strips just the bodies — the
-    /// certificate survives and the bodies are re-fetched from peers
+    /// preparer reporting it in the next view change. Batches are
+    /// re-verified against the accepted digest, because recovery
+    /// distrusts memory; a mismatch strips just the batch — the
+    /// certificate survives and the batch is re-fetched from peers
     /// before execution.
     pub fn reset_keep_certs(&mut self, low: SeqNum) {
         self.slots
             .retain(|&s, slot| s > low && slot.has_pre_prepare());
         for slot in self.slots.values_mut() {
-            let bodies_ok = slot.is_null
-                || slot
-                    .raw_entries
-                    .as_deref()
-                    .is_some_and(|e| Some(crate::messages::batch_digest(e)) == slot.digest);
-            if !bodies_ok {
-                slot.raw_entries = None;
-                slot.requests = None;
-            }
+            slot.assign(
+                slot.view,
+                slot.digest.expect("retained slots have a digest"),
+            );
         }
         self.low = low;
     }
@@ -314,6 +363,7 @@ impl Log {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bodies::RequestStore;
 
     fn q() -> Quorums {
         Quorums::minimal(1)
@@ -327,7 +377,6 @@ mod tests {
         Slot {
             view,
             digest: Some(d),
-            requests: Some(vec![]),
             ..Slot::default()
         }
     }
@@ -465,29 +514,123 @@ mod tests {
         log.slot_mut(1000);
     }
 
-    #[test]
-    fn reset_keep_certs_retains_certificates_and_verified_bodies() {
-        use crate::messages::{batch_digest, BatchEntry};
-        let entries = vec![BatchEntry::Ref {
-            client: 1,
+    fn request(client: u32) -> crate::messages::Request {
+        crate::messages::Request {
+            client,
             timestamp: 1,
-            digest: digest(9),
-        }];
+            op: vec![client as u8; 300],
+            read_only: false,
+            replier: 0,
+            auth: crate::messages::AuthTag::None,
+        }
+    }
+
+    /// A two-entry batch (one inline body, one reference) with its
+    /// request digests and batch digest.
+    fn batch(client: u32) -> (Vec<BatchEntry>, Vec<Digest>, Digest) {
+        let full = request(client);
+        let by_ref = request(client + 1);
+        let digests = vec![full.digest(), by_ref.digest()];
+        let entries = vec![
+            BatchEntry::Full(full),
+            BatchEntry::Ref {
+                client: by_ref.client,
+                timestamp: by_ref.timestamp,
+                digest: digests[1],
+            },
+        ];
+        let d = batch_digest_of(&digests);
+        (entries, digests, d)
+    }
+
+    #[test]
+    fn batch_that_does_not_hash_to_the_digest_is_refused() {
+        let (entries, digests, d) = batch(1);
+        let mut slot = accepted_slot(0, digest(1));
+        assert!(!slot.set_batch(entries.clone(), &digests));
+        assert!(slot.batch.is_none());
+        slot.digest = Some(d);
+        // Entry digests that do not belong to the entries are caught too.
+        let (_, other_digests, _) = batch(5);
+        assert!(!slot.set_batch(entries.clone(), &other_digests));
+        assert!(slot.set_batch(entries.clone(), &digests));
+        assert_eq!(slot.batch, Some(entries.clone()));
+        // No digest accepted yet: nothing to check against.
+        assert!(!Slot::default().set_batch(entries, &digests));
+        // The null digest's batch is empty.
+        let mut null = accepted_slot(1, NULL_DIGEST);
+        assert!(!null.set_batch(batch(1).0, &batch(1).1));
+        assert!(null.set_batch(Vec::new(), &[]));
+        assert!(null.executable());
+    }
+
+    #[test]
+    fn filling_refs_makes_the_slot_executable() {
+        let (entries, digests, d) = batch(1);
+        let mut slot = accepted_slot(0, d);
+        assert!(slot.set_batch(entries, &digests));
+        assert!(!slot.executable(), "one body is only referenced");
+        assert!(slot.complete_batch_for(d).is_none());
+        let mut store = RequestStore::default();
+        store.insert(digests[1], request(2));
+        let filled = slot.batch.as_mut().expect("set above");
+        assert_eq!(store.resolve(filled), Ok(()));
+        assert!(slot.executable());
+        assert_eq!(slot.complete_batch_for(d).map(batch_digest), Some(d));
+        // Kept across a view change (digest cleared): re-checked by hash.
+        slot.digest = None;
+        assert!(slot.complete_batch_for(d).is_some());
+        assert!(slot.complete_batch_for(batch(7).2).is_none());
+    }
+
+    #[test]
+    fn assign_keeps_a_batch_only_for_its_own_digest() {
+        let (entries, digests, d) = batch(1);
+        let (_, _, other) = batch(7);
+        let mut log = Log::new(256);
+        {
+            let s = log.slot_mut(3);
+            s.assign(0, d);
+            assert!(s.set_batch(entries.clone(), &digests));
+        }
+        log.reset_for_view();
+        let s = log.slot_mut(3);
+        assert_eq!(s.batch, Some(entries.clone()), "view change keeps it");
+        // The new view re-assigns the same digest: the batch stays.
+        s.assign(1, d);
+        assert_eq!(s.batch, Some(entries));
+        log.reset_for_view();
+        // The new view assigns a different digest: the batch goes.
+        let s = log.slot_mut(3);
+        s.assign(2, other);
+        assert!(
+            s.batch.is_none(),
+            "never execute a batch the view did not certify"
+        );
+        assert!(!s.executable());
+    }
+
+    #[test]
+    fn reset_keep_certs_retains_certificates_and_verified_batches() {
+        let (entries, digests, d) = batch(1);
+        let fetched: Vec<BatchEntry> =
+            vec![BatchEntry::Full(request(1)), BatchEntry::Full(request(2))];
         let mut log = Log::new(256);
         // Finalized, digest-verified: survives whole.
         {
             let s = log.slot_mut(49);
-            s.digest = Some(batch_digest(&entries));
-            s.raw_entries = Some(entries.clone());
+            s.assign(0, d);
+            assert!(s.set_batch(entries.clone(), &digests));
             s.executed_final = true;
-            s.prepares.insert(1, batch_digest(&entries));
+            s.prepares.insert(1, d);
         }
-        // Stored batch no longer matches its digest: the certificate
-        // survives but the bodies are stripped for re-fetch.
+        // Stored batch no longer matches its digest (memory corruption
+        // that recovery exists to undo): the certificate survives but the
+        // batch is stripped for re-fetch.
         {
             let s = log.slot_mut(50);
             s.digest = Some(digest(2));
-            s.raw_entries = Some(entries.clone());
+            s.batch = Some(entries.clone());
             s.prepares.insert(1, digest(2));
             s.prepares.insert(3, digest(2));
         }
@@ -496,23 +639,30 @@ mod tests {
         // change.
         {
             let s = log.slot_mut(51);
-            s.digest = Some(batch_digest(&entries));
-            s.raw_entries = Some(entries);
+            s.assign(0, d);
+            assert!(s.set_batch(entries, &digests));
             s.prepares.insert(1, digest(1));
+        }
+        // A batch fetched whole (BATCH-DATA, every entry inline) that
+        // hashes to the digest survives too.
+        {
+            let s = log.slot_mut(52);
+            s.assign(0, d);
+            assert!(s.set_batch(fetched.clone(), &digests));
         }
         log.reset_keep_certs(48);
         assert_eq!(log.low(), 48);
         let kept = log.slot(49).expect("finalized slot survives recovery");
         assert!(kept.executed_final);
+        assert!(kept.batch.is_some());
         assert_eq!(kept.prepares.len(), 1, "certificates survive with it");
         let stripped = log.slot(50).expect("certificate survives mismatch");
-        assert!(
-            stripped.raw_entries.is_none(),
-            "corrupt bodies are stripped"
-        );
-        assert!(stripped.requests.is_none());
+        assert!(stripped.batch.is_none(), "corrupt batch is stripped");
         assert_eq!(stripped.prepares.len(), 2);
         assert!(log.slot(51).is_some(), "prepared-only slots survive");
+        let fetched_slot = log.slot(52).expect("slot survives");
+        assert_eq!(fetched_slot.batch, Some(fetched));
+        assert!(fetched_slot.executable());
     }
 
     #[test]
@@ -547,7 +697,6 @@ mod tests {
             let s = log.slot_mut(5);
             s.view = 0;
             s.digest = Some(digest(7));
-            s.requests = Some(vec![]);
             s.prepares.insert(1, digest(7));
             s.prepares.insert(2, digest(7));
         }
@@ -559,14 +708,14 @@ mod tests {
     }
 
     #[test]
-    fn reset_for_view_clears_certificates_keeps_bodies() {
+    fn reset_for_view_clears_certificates_keeps_batch() {
+        let (entries, digests, d) = batch(1);
         let mut log = Log::new(256);
         {
             let s = log.slot_mut(3);
-            s.digest = Some(digest(1));
-            s.raw_entries = Some(vec![]);
-            s.requests = Some(vec![]);
-            s.prepares.insert(1, digest(1));
+            s.assign(0, d);
+            assert!(s.set_batch(entries, &digests));
+            s.prepares.insert(1, d);
             s.prepare_sent = true;
             s.executed_final = true;
         }
@@ -575,14 +724,13 @@ mod tests {
         assert!(s.digest.is_none());
         assert!(s.prepares.is_empty());
         assert!(!s.prepare_sent);
-        assert!(s.requests.is_some(), "bodies survive view changes");
+        assert!(s.batch.is_some(), "the batch survives view changes");
         assert!(s.executed_final, "execution state survives");
     }
 
     #[test]
-    fn null_slot_is_executable_without_requests() {
+    fn null_slot_is_executable_without_a_batch() {
         let slot = Slot {
-            is_null: true,
             digest: Some(NULL_DIGEST),
             ..Slot::default()
         };

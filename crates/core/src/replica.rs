@@ -2,6 +2,7 @@
 //! normal-case three-phase ordering with all the paper's optimizations,
 //! checkpoints and garbage collection, view changes, and state transfer.
 
+use crate::bodies::{RequestStore, STORE_CAP};
 use crate::checkpoint::{CheckpointSet, CheckpointTracker, OwnCheckpoint};
 use crate::config::Config;
 use crate::invariants::ReplicaAudit;
@@ -38,10 +39,6 @@ const TIMER_FASTPATH_BASE: u64 = 1 << 32;
 /// read is evicted — counted, and its client told via BUSY so it backs
 /// off instead of waiting out a retransmission timeout.
 const LEASE_RO_CAP: usize = 256;
-
-/// Bound on request bodies retained for batch resolution and recovery
-/// serving ([`Replica::store_request`] evicts in insertion order).
-const STORE_CAP: usize = 20_000;
 
 /// Fault-injection behaviours for testing. A correct deployment uses
 /// [`Behavior::Correct`]; the others make this replica Byzantine in a
@@ -235,10 +232,8 @@ pub struct Replica<S: Service> {
     /// Identities already queued or proposed, to drop duplicates cheaply.
     queued: BTreeSet<(ClientId, Timestamp)>,
     /// Request bodies known by digest (separate request transmission and
-    /// recovery serving). Bounded by `store_order` eviction.
-    request_store: BTreeMap<Digest, Request>,
-    /// Insertion order of `request_store`, for capacity eviction.
-    store_order: VecDeque<Digest>,
+    /// recovery serving), bounded by FIFO eviction.
+    bodies: RequestStore,
     /// Requests this backup believes are outstanding (drives the
     /// view-change timer).
     pending_requests: BTreeSet<(ClientId, Timestamp)>,
@@ -361,8 +356,7 @@ impl<S: Service> Replica<S> {
             pending_batch_len: 0,
             rr_cursor: 0,
             queued: BTreeSet::new(),
-            request_store: BTreeMap::new(),
-            store_order: VecDeque::new(),
+            bodies: RequestStore::default(),
             pending_requests: BTreeSet::new(),
             in_view_change: false,
             pending_view: 0,
@@ -508,7 +502,7 @@ impl<S: Service> Replica<S> {
     /// the log window bounds how many of those can be in flight.
     pub fn queue_bounds(&self) -> Vec<(&'static str, usize, usize)> {
         let mut out = vec![
-            ("request_store", self.request_store.len(), STORE_CAP),
+            ("request_store", self.bodies.len(), STORE_CAP),
             (
                 "waiting_lease_ro",
                 self.waiting_lease_ro.len(),
@@ -535,20 +529,6 @@ impl<S: Service> Replica<S> {
 
     fn others(&self) -> Vec<NodeId> {
         self.cfg.quorums.others(self.id)
-    }
-
-    /// Remembers a request body for batch resolution and recovery
-    /// serving, with bounded memory. `d` is the digest this replica
-    /// computed from `req` when it verified it.
-    fn store_request(&mut self, d: Digest, req: Request) {
-        if self.request_store.insert(d, req).is_none() {
-            self.store_order.push_back(d);
-            while self.store_order.len() > STORE_CAP {
-                if let Some(old) = self.store_order.pop_front() {
-                    self.request_store.remove(&old);
-                }
-            }
-        }
     }
 
     fn maybe_corrupt(&self, auth: AuthTag) -> AuthTag {
@@ -1066,7 +1046,7 @@ impl<S: Service> Replica<S> {
             }
             self.note_admitted(req.client, req.timestamp, now);
         }
-        self.store_request(d, req.clone());
+        let new_body = self.bodies.insert(d, req.clone());
         if self.is_primary() && !self.in_view_change {
             if self.queued.insert(identity) {
                 self.enqueue_pending(d, req);
@@ -1078,6 +1058,11 @@ impl<S: Service> Replica<S> {
             self.pending_requests.insert(identity);
             self.note_backlog_hw();
             self.ensure_vc_timer(ctx);
+        }
+        // A new body may complete a batch that raced ahead of it
+        // (separate request transmission).
+        if new_body && self.resolve_pending_batches() {
+            self.try_execute(ctx);
         }
     }
 
@@ -1573,10 +1558,10 @@ impl<S: Service> Replica<S> {
             {
                 let view = self.view;
                 let slot = self.log.slot_mut(seq);
-                slot.view = view;
-                slot.digest = Some(d);
-                slot.raw_entries = Some(entries.clone());
-                slot.requests = Some(batch);
+                slot.assign(view, d);
+                let own = batch.into_iter().map(BatchEntry::Full).collect();
+                let ok = slot.set_batch(own, &digests);
+                debug_assert!(ok, "a proposal hashes to its own digest");
             }
             let piggy = self.take_piggy(ctx);
             let pp = PrePrepare {
@@ -1607,14 +1592,21 @@ impl<S: Service> Replica<S> {
     }
 
     /// Byzantine primary: half the backups get the real pre-prepare, the
-    /// other half a conflicting one for the same (view, seq).
+    /// other half a conflicting one for the same (view, seq). The
+    /// conflicting batch drops the last request, so it resolves and can
+    /// execute wherever it gets certified; a single-request batch gets a
+    /// reference to a body that does not exist instead.
     fn equivocate(&mut self, ctx: &mut Context<'_, Packet>, pp: PrePrepare) {
         let mut alt = pp.clone();
-        alt.entries.push(BatchEntry::Ref {
-            client: 0,
-            timestamp: u64::MAX,
-            digest: bft_crypto::digest(&pp.seq.to_le_bytes()),
-        });
+        if alt.entries.len() >= 2 {
+            alt.entries.pop();
+        } else {
+            alt.entries.push(BatchEntry::Ref {
+                client: 0,
+                timestamp: u64::MAX,
+                digest: bft_crypto::digest(&pp.seq.to_le_bytes()),
+            });
+        }
         alt.batch_digest = batch_digest(&alt.entries);
         for (i, backup) in self.others().into_iter().enumerate() {
             let msg = if i % 2 == 0 {
@@ -1668,35 +1660,21 @@ impl<S: Service> Replica<S> {
             CostKind::Digest,
             self.cfg.cost.digest(pp.entries.len() * 16),
         );
-        let mut resolved: Vec<Request> = Vec::with_capacity(pp.entries.len());
-        let mut missing = false;
-        for (entry, d) in pp.entries.iter().zip(digests) {
-            match entry {
-                BatchEntry::Full(req) => {
-                    if !self.verify_request_digest(ctx, req, &d) {
-                        ctx.count(Counter::BadRequestAuth);
-                        return;
-                    }
-                    self.store_request(d, req.clone());
-                    resolved.push(req.clone());
-                }
-                BatchEntry::Ref { digest, .. } => match self.request_store.get(digest) {
-                    Some(req) => resolved.push(req.clone()),
-                    None => missing = true,
-                },
-            }
+        if !self.store_inline_bodies(ctx, &pp.entries, &digests) {
+            ctx.count(Counter::BadRequestAuth);
+            return;
+        }
+        for entry in &pp.entries {
+            self.pending_requests.insert(entry.identity());
         }
         {
             let view = self.view;
             let slot = self.log.slot_mut(pp.seq);
-            slot.view = view;
-            slot.digest = Some(pp.batch_digest);
-            slot.raw_entries = Some(pp.entries.clone());
-            if !missing {
-                slot.requests = Some(resolved);
-            }
+            slot.assign(view, pp.batch_digest);
+            let ok = slot.set_batch(pp.entries, &digests);
+            debug_assert!(ok, "checked against the batch digest above");
         }
-        if missing {
+        if self.resolve_slot(pp.seq).is_some_and(|r| r.is_err()) {
             // Separate transmission raced ahead of the request multicast;
             // ask the primary for the body if it never shows up.
             let fb = FetchBatch {
@@ -1706,9 +1684,6 @@ impl<S: Service> Replica<S> {
             let primary = self.cfg.quorums.primary(self.view);
             self.send_to(ctx, primary, Msg::FetchBatch(fb));
         }
-        for entry in &pp.entries {
-            self.pending_requests.insert(entry.identity());
-        }
         self.ensure_vc_timer(ctx);
         ctx.trace(
             SpanEdge::Open,
@@ -1716,27 +1691,30 @@ impl<S: Service> Replica<S> {
             TraceMeta {
                 view: pp.view,
                 seq: pp.seq,
-                bytes: pp.entries.len() as u64,
+                bytes: digests.len() as u64,
                 ..TraceMeta::default()
             },
         );
-        // Multicast our prepare.
+        self.multicast_prepare(ctx, pp.seq, pp.batch_digest);
+        self.check_prepared(ctx, pp.seq);
+    }
+
+    /// Records this replica's prepare for `(seq, d)` in the current view
+    /// and multicasts it, with any piggybacked commits.
+    fn multicast_prepare(&mut self, ctx: &mut Context<'_, Packet>, seq: SeqNum, d: Digest) {
         let piggy = self.take_piggy(ctx);
         let prep = Prepare {
-            view: pp.view,
-            seq: pp.seq,
-            batch_digest: pp.batch_digest,
+            view: self.view,
+            seq,
+            batch_digest: d,
             replica: self.id,
             piggy_commits: piggy,
         };
-        {
-            let me = self.id;
-            let slot = self.log.slot_mut(pp.seq);
-            slot.prepares.insert(me, pp.batch_digest);
-            slot.prepare_sent = true;
-        }
+        let me = self.id;
+        let slot = self.log.slot_mut(seq);
+        slot.prepares.insert(me, d);
+        slot.prepare_sent = true;
         self.multicast(ctx, Msg::Prepare(prep));
-        self.check_prepared(ctx, pp.seq);
     }
 
     fn handle_prepare(&mut self, ctx: &mut Context<'_, Packet>, from: NodeId, prep: Prepare) {
@@ -2121,8 +2099,6 @@ impl<S: Service> Replica<S> {
 
     fn execute_batch(&mut self, ctx: &mut Context<'_, Packet>, seq: SeqNum, tentative: bool) {
         let slot = self.log.slot(seq).expect("slot exists");
-        let requests: Vec<Request> = slot.requests.clone().unwrap_or_default();
-        let is_null = slot.is_null;
         let batch_digest = slot.digest;
         let mut ops = 0usize;
         let exec_phase = if tentative {
@@ -2143,23 +2119,25 @@ impl<S: Service> Replica<S> {
                 },
             );
         }
+        // Lent out for the loop, which needs `&mut self`; put back below.
+        let batch = self.log.slot_mut(seq).batch.take();
         ctx.trace(
             SpanEdge::Open,
             exec_phase,
             TraceMeta {
                 view: self.view,
                 seq,
-                bytes: requests.len() as u64,
+                bytes: batch.as_ref().map_or(0, Vec::len) as u64,
                 ..TraceMeta::default()
             },
         );
         if tentative {
             self.tentative_cache_undo.clear();
         }
-        for req in &requests {
-            if is_null {
-                break;
-            }
+        for entry in batch.iter().flatten() {
+            let BatchEntry::Full(req) = entry else {
+                continue; // unreachable: the slot is executable
+            };
             let identity = (req.client, req.timestamp);
             self.note_served(req.client, req.timestamp);
             // Only FINAL execution settles outstanding work. A tentative
@@ -2243,6 +2221,7 @@ impl<S: Service> Replica<S> {
         self.note_exec_progress(seq);
         {
             let slot = self.log.slot_mut(seq);
+            slot.batch = batch;
             if tentative {
                 slot.executed_tentative = true;
             } else {
@@ -2289,9 +2268,9 @@ impl<S: Service> Replica<S> {
         // The batch's requests are settled only now that it is final —
         // execution left them pending so the view-change timer keeps
         // covering a tentative batch whose certificate stalls.
-        if let Some(requests) = self.log.slot(seq).and_then(|s| s.requests.as_ref()) {
-            for req in requests {
-                self.pending_requests.remove(&(req.client, req.timestamp));
+        if let Some(batch) = self.log.slot(seq).and_then(|s| s.batch.as_ref()) {
+            for entry in batch {
+                self.pending_requests.remove(&entry.identity());
             }
         }
         // Upgrade cached replies so retransmissions get committed replies.
@@ -2639,7 +2618,7 @@ impl<S: Service> Replica<S> {
             let Some(slot) = self.log.slot(seq) else {
                 continue;
             };
-            let (Some(d), Some(raw)) = (slot.digest, slot.raw_entries.clone()) else {
+            let (Some(d), Some(batch)) = (slot.digest, &slot.batch) else {
                 continue;
             };
             if !slot.executed_final {
@@ -2647,19 +2626,7 @@ impl<S: Service> Replica<S> {
             }
             // Keep backfill frames small: strip bodies beyond the inline
             // threshold (the peer fetches them separately).
-            let entries: Vec<BatchEntry> = raw
-                .into_iter()
-                .map(|e| match e {
-                    BatchEntry::Full(r) if r.op.len() > self.cfg.inline_threshold => {
-                        BatchEntry::Ref {
-                            client: r.client,
-                            timestamp: r.timestamp,
-                            digest: r.digest(),
-                        }
-                    }
-                    other => other,
-                })
-                .collect();
+            let entries = by_reference_above(batch, self.cfg.inline_threshold);
             sent += 1;
             self.send_to(
                 ctx,
@@ -2690,13 +2657,7 @@ impl<S: Service> Replica<S> {
         votes.insert(from);
         let committed = votes.len() >= self.cfg.quorums.witness_quorum();
         // Stash the bodies either way; they are digest-bound.
-        for (entry, d) in cb.entries.iter().zip(digests) {
-            if let BatchEntry::Full(req) = entry {
-                if self.verify_request_digest(ctx, req, &d) {
-                    self.store_request(d, req.clone());
-                }
-            }
-        }
+        self.store_inline_bodies(ctx, &cb.entries, &digests);
         if !committed {
             return;
         }
@@ -2705,15 +2666,17 @@ impl<S: Service> Replica<S> {
             let view = self.view;
             let slot = self.log.slot_mut(cb.seq);
             if slot.digest.is_none() {
-                slot.view = view;
-                slot.digest = Some(cb.batch_digest);
+                slot.assign(view, cb.batch_digest);
             }
             if slot.digest == Some(cb.batch_digest) {
-                slot.raw_entries.get_or_insert(cb.entries);
+                if slot.batch.is_none() {
+                    slot.set_batch(cb.entries, &digests);
+                }
                 slot.force_committed = true;
             }
         }
-        self.resolve_pending_batches(ctx);
+        self.resolve_pending_batches();
+        self.try_execute(ctx);
     }
 
     /// Recovers the missing bodies blocking slot `seq`: individual
@@ -2727,40 +2690,19 @@ impl<S: Service> Replica<S> {
         // Rotate recovery targets deterministically.
         let step = 1 + ((ctx.now().nanos() / 20_000_000) as u32 % (self.cfg.n() - 1));
         let target = (self.id + step) % self.cfg.n();
-        match &slot.raw_entries {
-            Some(raw) => {
-                let missing: Vec<Digest> = raw
-                    .iter()
-                    .filter_map(|e| match e {
-                        BatchEntry::Ref { digest, .. }
-                            if !self.request_store.contains_key(digest) =>
-                        {
-                            Some(*digest)
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                if missing.is_empty() {
-                    self.resolve_pending_batches(ctx);
-                    return;
-                }
-                self.send_to(
-                    ctx,
-                    target,
-                    Msg::FetchRequests(FetchRequests { digests: missing }),
-                );
+        let msg = match self.resolve_slot(seq) {
+            Some(Ok(())) => {
+                self.resolve_pending_batches();
+                self.try_execute(ctx);
+                return;
             }
-            None => {
-                self.send_to(
-                    ctx,
-                    target,
-                    Msg::FetchBatch(FetchBatch {
-                        seq,
-                        batch_digest: d,
-                    }),
-                );
-            }
-        }
+            Some(Err(missing)) => Msg::FetchRequests(FetchRequests { digests: missing }),
+            None => Msg::FetchBatch(FetchBatch {
+                seq,
+                batch_digest: d,
+            }),
+        };
+        self.send_to(ctx, target, msg);
     }
 
     fn handle_fetch_requests(
@@ -2769,20 +2711,7 @@ impl<S: Service> Replica<S> {
         from: NodeId,
         fr: FetchRequests,
     ) {
-        // Cap the response so recovery traffic cannot congest the very
-        // links whose overload caused the loss.
-        let mut budget = 64 * 1024usize;
-        let mut requests: Vec<Request> = Vec::new();
-        for d in fr.digests.iter().take(64) {
-            let Some(req) = self.request_store.get(d) else {
-                continue;
-            };
-            if req.op.len() + 64 > budget {
-                break;
-            }
-            budget -= req.op.len() + 64;
-            requests.push(req.clone());
-        }
+        let requests = self.bodies.serve(&fr.digests);
         if !requests.is_empty() {
             self.send_to(ctx, from, Msg::RequestData(RequestData { requests }));
         }
@@ -2794,7 +2723,7 @@ impl<S: Service> Replica<S> {
             let Some(d) = self.verify_request(ctx, &req) else {
                 continue;
             };
-            self.store_request(d, req);
+            self.bodies.insert(d, req);
             any = true;
         }
         if any {
@@ -2802,19 +2731,20 @@ impl<S: Service> Replica<S> {
             // try_execute, which fetches the next missing bodies without
             // waiting out the pacing interval.
             self.next_body_fetch_ns = 0;
-            self.resolve_pending_batches(ctx);
+            self.resolve_pending_batches();
+            self.try_execute(ctx);
         }
     }
 
     fn handle_fetch_batch(&mut self, ctx: &mut Context<'_, Packet>, from: NodeId, fb: FetchBatch) {
-        let Some(slot) = self.log.slot(fb.seq) else {
+        let slot = self
+            .log
+            .slot(fb.seq)
+            .filter(|s| s.digest == Some(fb.batch_digest));
+        let Some(batch) = slot.and_then(|s| s.complete_batch_for(fb.batch_digest)) else {
             return;
         };
-        if slot.digest != Some(fb.batch_digest) {
-            return;
-        }
-        let Some(reqs) = &slot.requests else { return };
-        let entries: Vec<BatchEntry> = reqs.iter().cloned().map(BatchEntry::Full).collect();
+        let entries = batch.to_vec();
         self.send_to(
             ctx,
             from,
@@ -2826,73 +2756,61 @@ impl<S: Service> Replica<S> {
     }
 
     fn handle_batch_data(&mut self, ctx: &mut Context<'_, Packet>, bd: BatchData) {
-        if !self.log.in_window(bd.seq) {
+        let waiting = self.log.in_window(bd.seq)
+            && self
+                .log
+                .slot(bd.seq)
+                .is_some_and(|s| s.has_pre_prepare() && !s.executable());
+        if !waiting || !bd.entries.iter().all(|e| matches!(e, BatchEntry::Full(_))) {
             return;
         }
-        let Some(slot) = self.log.slot(bd.seq) else {
-            return;
-        };
-        if slot.requests.is_some() || slot.digest.is_none() {
-            return;
-        }
-        let want = slot.digest.expect("checked");
-        // The fetched bodies must hash to the digest we prepared against.
+        // Every body is authenticated by its client, and the slot refuses
+        // the batch unless it hashes to the digest we prepared against.
         let digests: Vec<Digest> = bd.entries.iter().map(BatchEntry::digest).collect();
-        if batch_digest_of(&digests) != want {
-            return;
+        if self.store_inline_bodies(ctx, &bd.entries, &digests)
+            && self.log.slot_mut(bd.seq).set_batch(bd.entries, &digests)
+        {
+            self.try_execute(ctx);
         }
-        let mut resolved = Vec::with_capacity(bd.entries.len());
-        for (entry, d) in bd.entries.iter().zip(digests) {
-            match entry {
-                BatchEntry::Full(req) => {
-                    if !self.verify_request_digest(ctx, req, &d) {
-                        return;
-                    }
-                    self.store_request(d, req.clone());
-                    resolved.push(req.clone());
-                }
-                BatchEntry::Ref { .. } => return, // fetch answers must inline
-            }
-        }
-        self.log.slot_mut(bd.seq).requests = Some(resolved);
-        self.try_execute(ctx);
     }
 
-    /// Called when a request body arrives that might complete a pending
-    /// pre-prepare (separate request transmission).
-    fn resolve_pending_batches(&mut self, ctx: &mut Context<'_, Packet>) {
-        let pending: Vec<SeqNum> = self
-            .log
-            .iter()
-            .filter(|(_, slot)| slot.digest.is_some() && slot.requests.is_none())
-            .map(|(seq, _)| seq)
-            .collect();
-        for seq in pending {
-            let Some(slot) = self.log.slot(seq) else {
-                continue;
-            };
-            let Some(raw) = slot.raw_entries.clone() else {
-                continue;
-            };
-            let mut resolved = Vec::with_capacity(raw.len());
-            let mut complete = true;
-            for entry in &raw {
-                match entry {
-                    BatchEntry::Full(req) => resolved.push(req.clone()),
-                    BatchEntry::Ref { digest, .. } => match self.request_store.get(digest) {
-                        Some(req) => resolved.push(req.clone()),
-                        None => {
-                            complete = false;
-                            break;
-                        }
-                    },
+    /// Fills the `Ref`s of every slot still waiting for request bodies
+    /// from the store. Returns false, having done nothing, when no slot
+    /// is waiting.
+    fn resolve_pending_batches(&mut self) -> bool {
+        let waiting: Vec<SeqNum> = self.log.awaiting_bodies().collect();
+        for &seq in &waiting {
+            // A slot still missing bodies keeps waiting.
+            let _ = self.resolve_slot(seq);
+        }
+        !waiting.is_empty()
+    }
+
+    /// Fills slot `seq`'s `Ref`s from the store (see
+    /// [`RequestStore::resolve`]); `None` when it holds no batch.
+    fn resolve_slot(&mut self, seq: SeqNum) -> Option<Result<(), Vec<Digest>>> {
+        let batch = self.log.slot_mut(seq).batch.as_mut()?;
+        Some(self.bodies.resolve(batch))
+    }
+
+    /// Authenticates each inline body of a batch against the digest this
+    /// replica computed for it, storing it. Stops at the first body that
+    /// fails, returning false.
+    fn store_inline_bodies(
+        &mut self,
+        ctx: &mut Context<'_, Packet>,
+        entries: &[BatchEntry],
+        digests: &[Digest],
+    ) -> bool {
+        for (entry, d) in entries.iter().zip(digests) {
+            if let BatchEntry::Full(req) = entry {
+                if !self.verify_request_digest(ctx, req, d) {
+                    return false;
                 }
-            }
-            if complete {
-                self.log.slot_mut(seq).requests = Some(resolved);
+                self.bodies.insert(*d, req.clone());
             }
         }
-        self.try_execute(ctx);
+        true
     }
 
     /// Records execution of `seq` as view-change-timer progress — but
@@ -3035,25 +2953,19 @@ impl<S: Service> Replica<S> {
             if d == NULL_DIGEST {
                 continue;
             }
-            if let Some(slot) = self.log.slot(seq) {
-                if slot.digest == Some(d)
-                    || slot.raw_entries.as_deref().map(batch_digest) == Some(d)
-                {
-                    if let Some(reqs) = &slot.requests {
-                        let size: usize = reqs.iter().map(|r| r.op.len() + 64).sum();
-                        if attached + size > MAX_ATTACHED_BYTES {
-                            continue;
-                        }
-                        attached += size;
-                        batches.push((
-                            seq,
-                            reqs.iter()
-                                .cloned()
-                                .map(BatchEntry::Full)
-                                .collect::<Vec<_>>(),
-                        ));
-                    }
+            if let Some(batch) = self.log.slot(seq).and_then(|s| s.complete_batch_for(d)) {
+                let size: usize = batch
+                    .iter()
+                    .map(|e| match e {
+                        BatchEntry::Full(r) => r.op.len() + 64,
+                        BatchEntry::Ref { .. } => 64,
+                    })
+                    .sum();
+                if attached + size > MAX_ATTACHED_BYTES {
+                    continue;
                 }
+                attached += size;
+                batches.push((seq, batch.to_vec()));
             }
         }
         let mut pre_prepares = plan.pre_prepares.clone();
@@ -3136,70 +3048,38 @@ impl<S: Service> Replica<S> {
                 continue;
             }
             {
+                // A batch this replica kept for `seq` from an earlier view
+                // survives only if it is the one the new view certified.
                 let slot = self.log.slot_mut(seq);
-                slot.view = view;
-                slot.digest = Some(d);
+                slot.assign(view, d);
                 if d == NULL_DIGEST {
-                    slot.is_null = true;
-                    slot.requests = Some(Vec::new());
-                    slot.raw_entries = Some(Vec::new());
-                } else if slot.requests.is_none() {
-                    if let Some(entries) = shipped.remove(&seq) {
-                        if batch_digest(&entries) == d {
-                            let reqs: Vec<Request> = entries
-                                .iter()
-                                .filter_map(|e| match e {
-                                    BatchEntry::Full(r) => Some(r.clone()),
-                                    BatchEntry::Ref { .. } => None,
-                                })
-                                .collect();
-                            if reqs.len() == entries.len() {
-                                slot.raw_entries = Some(entries);
-                                slot.requests = Some(reqs);
-                            }
-                        }
+                    slot.set_batch(Vec::new(), &[]);
+                } else if !slot.executable() {
+                    let inline =
+                        |e: &Vec<BatchEntry>| e.iter().all(|e| matches!(e, BatchEntry::Full(_)));
+                    if let Some(entries) = shipped.remove(&seq).filter(inline) {
+                        let digests: Vec<Digest> = entries.iter().map(BatchEntry::digest).collect();
+                        slot.set_batch(entries, &digests);
                     }
                 }
             }
             // Everyone (including the new primary, whose pre-prepare is
             // implicit) records its own prepare; backups multicast theirs.
             if !is_primary {
-                let piggy = self.take_piggy(ctx);
-                let prep = Prepare {
-                    view,
-                    seq,
-                    batch_digest: d,
-                    replica: self.id,
-                    piggy_commits: piggy,
-                };
-                {
-                    let me = self.id;
-                    let slot = self.log.slot_mut(seq);
-                    slot.prepares.insert(me, d);
-                    slot.prepare_sent = true;
-                }
-                self.multicast(ctx, Msg::Prepare(prep));
+                self.multicast_prepare(ctx, seq, d);
             }
             // Request any missing bodies.
-            let need_fetch = {
-                let slot = self.log.slot(seq).expect("just created");
-                slot.requests.is_none()
-            };
-            if need_fetch {
-                let primary = self.cfg.quorums.primary(view);
+            if !self.log.slot(seq).expect("just created").executable() {
                 let target = if is_primary {
                     (self.id + 1) % self.cfg.n()
                 } else {
-                    primary
+                    self.cfg.quorums.primary(view)
                 };
-                self.send_to(
-                    ctx,
-                    target,
-                    Msg::FetchBatch(FetchBatch {
-                        seq,
-                        batch_digest: d,
-                    }),
-                );
+                let fb = FetchBatch {
+                    seq,
+                    batch_digest: d,
+                };
+                self.send_to(ctx, target, Msg::FetchBatch(fb));
             }
         }
         // Lease state is view-scoped: epochs restart, old grants and
@@ -3227,20 +3107,11 @@ impl<S: Service> Replica<S> {
                 ..TraceMeta::default()
             },
         );
+        let pending = self.bodies.find_identities(&self.pending_requests);
         // Forward pending requests so the new primary learns about them.
         if !is_primary {
             let primary = self.cfg.quorums.primary(view);
-            let pending: Vec<Request> = self
-                .pending_requests
-                .iter()
-                .filter_map(|(c, ts)| {
-                    self.request_store
-                        .values()
-                        .find(|r| r.client == *c && r.timestamp == *ts)
-                        .cloned()
-                })
-                .collect();
-            for req in pending {
+            for (_, req) in pending {
                 let packet = Packet::unauthenticated(Msg::Request(req));
                 let wire = packet.wire_bytes();
                 ctx.charge_kind(CostKind::Net, self.cfg.cost.send(wire));
@@ -3252,16 +3123,6 @@ impl<S: Service> Replica<S> {
             }
         } else {
             // Unexecuted pending requests may need re-proposing.
-            let pending: Vec<(Digest, Request)> = self
-                .pending_requests
-                .iter()
-                .filter_map(|(c, ts)| {
-                    self.request_store
-                        .iter()
-                        .find(|(_, r)| r.client == *c && r.timestamp == *ts)
-                        .map(|(d, r)| (*d, r.clone()))
-                })
-                .collect();
             for (d, req) in pending {
                 if self.queued.insert((req.client, req.timestamp)) {
                     self.enqueue_pending(d, req);
@@ -3616,17 +3477,20 @@ impl<S: Service> Replica<S> {
             .collect();
         for (seq, d, prepare_sent, commit_sent) in stalled {
             if self.is_primary() {
-                if let Some(slot) = self.log.slot(seq) {
-                    if let Some(entries) = slot.raw_entries.clone() {
-                        let pp = PrePrepare {
-                            view: self.view,
-                            seq,
-                            entries,
-                            batch_digest: d,
-                            piggy_commits: Vec::new(),
-                        };
-                        self.multicast(ctx, Msg::PrePrepare(pp));
-                    }
+                let threshold = if self.cfg.opts.separate_request_transmission {
+                    self.cfg.inline_threshold
+                } else {
+                    usize::MAX
+                };
+                if let Some(batch) = self.log.slot(seq).and_then(|s| s.batch.as_deref()) {
+                    let pp = PrePrepare {
+                        view: self.view,
+                        seq,
+                        entries: by_reference_above(batch, threshold),
+                        batch_digest: d,
+                        piggy_commits: Vec::new(),
+                    };
+                    self.multicast(ctx, Msg::PrePrepare(pp));
                 }
             } else if prepare_sent {
                 let prep = Prepare {
@@ -3652,13 +3516,8 @@ impl<S: Service> Replica<S> {
         // prepared batches can commit but never execute. Only the first
         // blocked slot matters (execution is sequential), and flooding
         // fetches would amplify the very overload that lost the bodies.
-        let blocked: Option<SeqNum> = self
-            .log
-            .iter()
-            .find(|&(seq, slot)| {
-                slot.digest.is_some() && !slot.executable() && seq > self.last_executed
-            })
-            .map(|(seq, _)| seq);
+        let last_executed = self.last_executed;
+        let blocked = self.log.awaiting_bodies().find(|&s| s > last_executed);
         if let Some(seq) = blocked {
             self.recover_bodies(ctx, seq);
         }
@@ -3719,6 +3578,22 @@ impl<S: Service> Replica<S> {
             self.multicast(ctx, Msg::Commit(c));
         }
     }
+}
+
+/// `batch` as it travels in a backfill or a retransmitted pre-prepare:
+/// bodies larger than `threshold` bytes go by reference.
+fn by_reference_above(batch: &[BatchEntry], threshold: usize) -> Vec<BatchEntry> {
+    batch
+        .iter()
+        .map(|e| match e {
+            BatchEntry::Full(r) if r.op.len() > threshold => BatchEntry::Ref {
+                client: r.client,
+                timestamp: r.timestamp,
+                digest: r.digest(),
+            },
+            other => other.clone(),
+        })
+        .collect()
 }
 
 fn tamper(result: &mut Vec<u8>) {
@@ -3785,14 +3660,8 @@ impl<S: Service> Node<Packet> for Replica<S> {
             ctx.count(Counter::BadPacketAuth);
             return;
         }
-        let had_store = self.request_store.len();
         match packet.body {
-            Msg::Request(req) => {
-                self.handle_request(ctx, req);
-                if self.request_store.len() != had_store {
-                    self.resolve_pending_batches(ctx);
-                }
-            }
+            Msg::Request(req) => self.handle_request(ctx, req),
             Msg::PrePrepare(pp) => self.handle_pre_prepare(ctx, from, pp),
             Msg::Prepare(p) => self.handle_prepare(ctx, from, p),
             Msg::Commit(c) => self.handle_commit(ctx, from, c),

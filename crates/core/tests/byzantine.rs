@@ -259,3 +259,38 @@ fn equivocating_primary_under_concurrent_load() {
     all.sort_unstable();
     assert_eq!(all, (1..=32).collect::<Vec<u64>>());
 }
+
+#[test]
+fn equivocation_then_crash_converges_on_the_certified_batches() {
+    // The primary equivocates: half the backups accept each pre-prepare,
+    // and the conflicting batch (the real one minus its last request)
+    // resolves and could execute. Crashing the primary forces a view
+    // change whose NEW-VIEW may certify, at some sequence number, the
+    // batch a backup did NOT accept. That backup must drop the bodies it
+    // holds for the slot and fetch the certified batch; executing what
+    // it held would make it diverge.
+    let mut c = cluster(41);
+    c.replica_mut::<CounterService>(0)
+        .set_behavior(Behavior::EquivocatingPrimary);
+    let ids: Vec<u32> = (0..6).map(|_| c.add_client(LoopDriver::new(40))).collect();
+    c.run_for(dur::millis(5));
+    c.replica_mut::<CounterService>(0)
+        .set_behavior(Behavior::Crashed);
+    c.run_for(dur::secs(30));
+    let r1 = c.replica::<CounterService>(1);
+    let (seq, value) = (r1.last_executed(), r1.service().value());
+    for r in 2..4 {
+        let rep = c.replica::<CounterService>(r);
+        assert_eq!(
+            (rep.last_executed(), rep.service().value()),
+            (seq, value),
+            "replica {r} diverged from replica 1"
+        );
+    }
+    let done: usize = ids
+        .iter()
+        .map(|&id| c.client::<LoopDriver>(id).driver().results.len())
+        .sum();
+    assert_eq!(done, 240, "every operation completes");
+    assert_eq!(value, 240);
+}

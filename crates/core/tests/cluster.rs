@@ -505,3 +505,79 @@ fn read_only_optimization_reduces_latency() {
         "read-only path should be a single round trip: {l_on} vs {l_off}"
     );
 }
+
+/// Packets of wire kind `name` received across the cluster.
+fn received(cluster: &Cluster, name: &str) -> u64 {
+    use bft_sim::health::{tag_name, TAG_COUNT};
+    let tag = (0..TAG_COUNT as u8)
+        .find(|&t| tag_name(t) == name)
+        .expect("known wire tag");
+    cluster.sim.health().received_by_tag()[usize::from(tag)]
+}
+
+/// A cluster whose six clients each issue `ops` 4 KB adds (sent by
+/// separate request transmission), none of which reach replica 3: it
+/// sees every batch only as digest references and must recover the
+/// bodies from its peers.
+fn bodies_withheld_from_replica_3(ops: u64) -> Cluster {
+    let mut cluster = Cluster::builder(Config::new(1))
+        .seed(12)
+        .net(NetConfig::SWITCHED_100MBPS)
+        .build_counter();
+    for _ in 0..6 {
+        let c = cluster.add_client(LoopDriver::with_op(
+            ops,
+            Box::new(|_| {
+                let mut op = CounterService::add_op(1);
+                op.extend_from_slice(&[0u8; 4096]);
+                (op, false)
+            }),
+        ));
+        cluster.sim.network_mut().partition_one_way(c, 3);
+    }
+    cluster
+}
+
+/// Replicas `replicas` all executed through the same sequence number to
+/// the same counter value, `value`.
+fn assert_converged(cluster: &Cluster, replicas: std::ops::Range<u32>, value: u64) {
+    let first = cluster.replica::<CounterService>(replicas.start);
+    let seq = first.last_executed();
+    for r in replicas {
+        let rep = cluster.replica::<CounterService>(r);
+        assert_eq!(
+            (rep.last_executed(), rep.service().value()),
+            (seq, value),
+            "replica {r}"
+        );
+    }
+}
+
+#[test]
+fn missing_bodies_are_recovered_by_request_data() {
+    // Replica 3's FETCH-BATCH to the primary is lost too, so it asks
+    // its peers for the individual bodies (FETCH-REQUESTS).
+    let mut cluster = bodies_withheld_from_replica_3(20);
+    cluster.sim.network_mut().partition_one_way(3, 0);
+    cluster.run_for(dur::secs(30));
+    assert_eq!(cluster.completed_ops(), 120, "every op completes");
+    assert!(received(&cluster, "request-data") > 0);
+    assert_eq!(received(&cluster, "batch-data"), 0);
+    assert_converged(&cluster, 0..4, 120);
+}
+
+#[test]
+fn missing_batches_are_recovered_by_batch_data_across_a_view_change() {
+    // Replica 3 fetches each batch whole from the primary (FETCH-BATCH),
+    // and keeps doing so from the new primary after the old one crashes.
+    let mut cluster = bodies_withheld_from_replica_3(20);
+    cluster.run_for(dur::millis(30));
+    cluster
+        .replica_mut::<CounterService>(0)
+        .set_behavior(Behavior::Crashed);
+    cluster.run_for(dur::secs(30));
+    assert_eq!(cluster.completed_ops(), 120, "every op completes");
+    assert!(received(&cluster, "batch-data") > 0);
+    assert!(received(&cluster, "new-view") > 0, "the view changed");
+    assert_converged(&cluster, 1..4, 120);
+}

@@ -495,7 +495,6 @@ proptest! {
                         let slot = log.slot_mut(seq);
                         if slot.digest.is_none() {
                             slot.digest = Some(d(tag));
-                            slot.requests = Some(vec![]);
                         }
                     }
                 }
