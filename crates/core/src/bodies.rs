@@ -6,8 +6,9 @@
 
 use crate::messages::{BatchEntry, Request};
 use crate::types::{ClientId, Timestamp};
+use bft_crypto::fold::BuildFoldHasher;
 use bft_crypto::md5::Digest;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// Bound on request bodies retained for batch resolution and recovery
 /// serving; beyond it the oldest insertion is evicted.
@@ -16,8 +17,10 @@ pub const STORE_CAP: usize = 20_000;
 /// Verified request bodies by digest, evicted in insertion order.
 #[derive(Debug, Clone, Default)]
 pub struct RequestStore {
-    bodies: BTreeMap<Digest, Request>,
-    /// Insertion order of `bodies`, for capacity eviction.
+    /// Looked up only; never iterated (its order is the hasher's).
+    bodies: HashMap<Digest, Request, BuildFoldHasher>,
+    /// Insertion order of `bodies`: the eviction order and the only
+    /// order the store is walked in.
     order: VecDeque<Digest>,
 }
 
@@ -101,10 +104,16 @@ impl RequestStore {
         if wanted.is_empty() {
             return Vec::new();
         }
-        let mut found = BTreeMap::new();
-        for (d, r) in &self.bodies {
-            if wanted.contains(&(r.client, r.timestamp)) {
-                found.entry((r.client, r.timestamp)).or_insert((*d, r));
+        let mut found: BTreeMap<_, (Digest, &Request)> = BTreeMap::new();
+        for d in &self.order {
+            let r = &self.bodies[d];
+            let id = (r.client, r.timestamp);
+            if !wanted.contains(&id) {
+                continue;
+            }
+            let best = found.entry(id).or_insert((*d, r));
+            if *d < best.0 {
+                *best = (*d, r);
             }
         }
         found.into_values().map(|(d, r)| (d, r.clone())).collect()

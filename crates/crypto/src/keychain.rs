@@ -22,6 +22,7 @@
 //! accept MACs under the current and the immediately preceding epoch
 //! (BFT similarly kept old keys valid briefly).
 
+use crate::fold::BuildFoldHasher;
 use crate::md5;
 use crate::umac::{Mac, MacKey};
 use std::collections::HashMap;
@@ -74,9 +75,9 @@ pub struct KeyChain {
     /// The epoch of the keys others must use when sending to me.
     my_epoch: u64,
     /// The epoch each peer last announced (keys I use sending to them).
-    peer_epochs: HashMap<PrincipalId, u64>,
+    peer_epochs: HashMap<PrincipalId, u64, BuildFoldHasher>,
     /// Cache of derived directional keys: (sender, receiver, epoch) → key.
-    keys: HashMap<(PrincipalId, PrincipalId, u64), MacKey>,
+    keys: HashMap<(PrincipalId, PrincipalId, u64), MacKey, BuildFoldHasher>,
 }
 
 impl KeyChain {
@@ -92,8 +93,8 @@ impl KeyChain {
             n_replicas,
             nonce: 0,
             my_epoch: 0,
-            peer_epochs: HashMap::new(),
-            keys: HashMap::new(),
+            peer_epochs: HashMap::default(),
+            keys: HashMap::default(),
         }
     }
 

@@ -16,7 +16,8 @@
 //! - [`bignum`] and [`rsa`]: a small unsigned bignum and textbook RSA used
 //!   for session-key exchange (`NEW-KEY` messages),
 //! - [`keychain`]: per-principal session-key management and MAC
-//!   *authenticators* (vectors of MACs, one entry per replica).
+//!   *authenticators* (vectors of MACs, one entry per replica);
+//! - [`fold`]: a cheap hasher for tables keyed by digests or small ids.
 //!
 //! # Example
 //!
@@ -33,6 +34,7 @@
 //! ```
 
 pub mod bignum;
+pub mod fold;
 pub mod keychain;
 pub mod md5;
 pub mod merkle;

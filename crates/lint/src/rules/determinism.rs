@@ -23,6 +23,17 @@ const ITER_METHODS: &[&str] = &[
     "into_values",
 ];
 
+/// Point lookups: a `for … in` expression may call these on a hash
+/// container, because their result does not depend on iteration order.
+const LOOKUP_METHODS: &[&str] = &[
+    "get",
+    "get_mut",
+    "contains_key",
+    "contains",
+    "len",
+    "is_empty",
+];
+
 pub(crate) fn run(
     file: &str,
     toks: &[Token],
@@ -79,8 +90,9 @@ pub(crate) fn run(
                 j += 1;
             }
             if let Some(start) = in_idx {
-                for tok in &toks[start + 1..j.min(toks.len())] {
-                    if tok.kind == Kind::Ident && tracked.contains(&tok.text) {
+                for (k, tok) in toks.iter().enumerate().take(j).skip(start + 1) {
+                    if tok.kind == Kind::Ident && tracked.contains(&tok.text) && !is_lookup(toks, k)
+                    {
                         findings.push(Finding {
                             file: file.to_string(),
                             line: tok.line,
@@ -99,6 +111,17 @@ pub(crate) fn run(
         }
         i += 1;
     }
+}
+
+/// True when the token at `k` is the receiver of a point lookup,
+/// `name.get(…)` and the like ([`LOOKUP_METHODS`]).
+fn is_lookup(toks: &[Token], k: usize) -> bool {
+    let text = |i: usize| toks.get(i).map(|t| t.text.as_str());
+    text(k + 1) == Some(".")
+        && toks
+            .get(k + 2)
+            .is_some_and(|t| t.kind == Kind::Ident && LOOKUP_METHODS.contains(&t.text.as_str()))
+        && text(k + 3) == Some("(")
 }
 
 /// Collects identifiers bound to a `HashMap`/`HashSet` type in this

@@ -13,6 +13,8 @@ const FASTQUORUM_FIXTURE: &str = include_str!("fixtures/fastquorum_violation.rs"
 const CATCHALL_FIXTURE: &str = include_str!("fixtures/catchall_violation.rs");
 const DECODE_FIXTURE: &str = include_str!("fixtures/decode_violation.rs");
 const CLEAN_FIXTURE: &str = include_str!("fixtures/clean.rs");
+const LOOKUP_VIOLATION_FIXTURE: &str = include_str!("fixtures/determinism_lookup_violation.rs");
+const LOOKUP_CLEAN_FIXTURE: &str = include_str!("fixtures/determinism_lookup_clean.rs");
 
 fn lines_for(findings: &[bft_lint::Finding], rule: &str) -> Vec<u32> {
     findings
@@ -33,6 +35,22 @@ fn determinism_rule_catches_hash_iteration() {
     assert!(lines.contains(&20), "values() on the struct field");
     // The point lookup must not be flagged.
     assert!(!lines.contains(&25));
+}
+
+#[test]
+fn determinism_for_in_flags_iteration_beside_a_lookup() {
+    let findings = check_source("fixture.rs", LOOKUP_VIOLATION_FIXTURE, Scope::all());
+    let mut lines = lines_for(&findings, RULE_DETERMINISM);
+    lines.dedup();
+    // `.iter()` after a `contains` in the filter, `&store.seen` after a
+    // `get`, and the bare `&store.bodies`.
+    assert_eq!(lines, vec![12, 15, 18], "findings: {findings:#?}");
+}
+
+#[test]
+fn determinism_for_in_allows_point_lookups() {
+    let findings = check_source("fixture.rs", LOOKUP_CLEAN_FIXTURE, Scope::all());
+    assert!(findings.is_empty(), "findings: {findings:#?}");
 }
 
 #[test]

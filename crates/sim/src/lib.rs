@@ -39,6 +39,9 @@ pub mod engine;
 pub mod health;
 pub mod metrics;
 pub mod network;
+mod queue;
+#[cfg(test)]
+mod queue_model;
 pub mod time;
 pub mod trace;
 
